@@ -30,12 +30,42 @@ use cobtree_search::tiered::TieredForest;
 use cobtree_search::workload::UniformKeys;
 use cobtree_search::{Forest, Storage};
 use std::hint::black_box;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Sample one in `2^LATENCY_SHIFT` reads for the latency percentiles
 /// (same cadence as the forest harness).
 const LATENCY_SHIFT: usize = 4;
+
+/// A temp directory private to one caller — named from the process id
+/// and a process-wide counter, so concurrent runs in one process never
+/// share it — and removed when dropped.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "cobtree-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        Self(dir)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
 
 /// Configuration of one tiered read-write run.
 #[derive(Debug, Clone)]
@@ -167,17 +197,13 @@ fn read_phase(
 }
 
 /// Runs the three phases and assembles the report. Builds its stores
-/// in per-run temp directories and removes them on the way out.
+/// in a temp directory private to this run and removes it on the way
+/// out.
 #[must_use]
 pub fn run(cfg: &TieredBenchConfig) -> TieredBenchReport {
-    let scratch = std::env::temp_dir().join(format!(
-        "cobtree-tiered-bench-{}-{:x}",
-        std::process::id(),
-        cfg.seed
-    ));
-    std::fs::remove_dir_all(&scratch).ok();
-    let forest_dir = scratch.join("forest");
-    let engine_dir = scratch.join("tiered");
+    let scratch = ScratchDir::new("tiered-bench");
+    let forest_dir = scratch.path().join("forest");
+    let engine_dir = scratch.path().join("tiered");
     std::fs::create_dir_all(&forest_dir).expect("create bench scratch dir");
 
     let keys: Vec<u64> = (1..=cfg.keys).map(|k| k * 2).collect();
@@ -247,7 +273,6 @@ pub fn run(cfg: &TieredBenchConfig) -> TieredBenchReport {
     let flushes = engine.flushes();
     let final_epoch = engine.epoch();
     drop(engine);
-    std::fs::remove_dir_all(&scratch).ok();
 
     let ratio = finite(mixed.p99_ns / readonly.p99_ns.max(1.0));
     TieredBenchReport {
@@ -375,13 +400,10 @@ mod tests {
             ..cfg
         });
         report.read_p99_ratio_vs_readonly = 1.25;
-        let dir =
-            std::env::temp_dir().join(format!("cobtree-tiered-bench-json-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("nested").join("BENCH_tiered.json");
+        let dir = ScratchDir::new("tiered-bench-json");
+        let path = dir.path().join("nested").join("BENCH_tiered.json");
         write_json(&report, &path).expect("write artifact");
         let back = std::fs::read_to_string(&path).expect("read artifact");
         assert!(back.contains("\"read_p99_ratio_vs_readonly\": 1.25"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -399,6 +399,68 @@ pub fn encode_tree<K: FixedKey>(
     descriptor: &Descriptor<'_>,
     mut key_at_position: impl FnMut(u64) -> Option<K>,
 ) -> Result<Vec<u8>> {
+    encode_with::<K>(height, key_count, block_bytes, descriptor, |region| {
+        for (p, slot) in region.chunks_exact_mut(K::WIDTH).enumerate() {
+            if let Some(k) = key_at_position(p as u64) {
+                k.write_le(slot);
+            }
+        }
+    })
+}
+
+/// Encodes strictly ascending `keys` as a named-layout tree file by
+/// scattering them into the zeroed key region: the key of 0-based rank
+/// `r` lands at layout position `rank_positions[r]`, and padding slots
+/// stay zero.
+/// The height is the one `rank_positions` was built for
+/// (`layout.rank_positions(h)`, so `2^h − 1` entries); pass the
+/// smallest `h` that holds the keys to get exactly the bytes
+/// `SearchTree::encode` writes for the same keys and layout.
+///
+/// # Errors
+/// [`Error::UnsortedKeys`] / [`Error::EmptyKeys`] on bad keys,
+/// [`Error::Malformed`] when `rank_positions` is not a `2^h − 1` table,
+/// plus every [`encode_tree`] shape error.
+pub fn encode_sorted<K: FixedKey>(
+    layout: NamedLayout,
+    rank_positions: &[u32],
+    keys: &[K],
+) -> Result<Vec<u8>> {
+    crate::error::check_sorted_keys(keys)?;
+    let slots = rank_positions.len() as u64 + 1;
+    if !slots.is_power_of_two() {
+        return Err(Error::Malformed {
+            detail: format!(
+                "rank table of {} entries is not 2^h - 1",
+                rank_positions.len()
+            ),
+        });
+    }
+    let height = slots.trailing_zeros();
+    encode_with::<K>(
+        height,
+        keys.len() as u64,
+        DEFAULT_BLOCK_BYTES,
+        &Descriptor::Named(layout),
+        |region| {
+            for (&key, &p) in keys.iter().zip(rank_positions) {
+                let off = p as usize * K::WIDTH;
+                key.write_le(&mut region[off..off + K::WIDTH]);
+            }
+        },
+    )
+}
+
+/// The shared encoder: lays out the header, descriptor and (for the
+/// table kind) index region, hands the zeroed key region to `fill`,
+/// then seals both checksums.
+fn encode_with<K: FixedKey>(
+    height: u32,
+    key_count: u64,
+    block_bytes: u64,
+    descriptor: &Descriptor<'_>,
+    fill: impl FnOnce(&mut [u8]),
+) -> Result<Vec<u8>> {
     let capacity = check_shape(height, key_count, block_bytes)?;
 
     let (kind, arity, desc_label): (DescriptorKind, u8, String) = match descriptor {
@@ -462,12 +524,7 @@ pub fn encode_tree<K: FixedKey>(
 
     out[desc_off as usize..(desc_off + desc_len) as usize].copy_from_slice(desc_bytes);
 
-    for p in 0..slots {
-        if let Some(k) = key_at_position(p) {
-            let off = key_off as usize + (p as usize) * K::WIDTH;
-            k.write_le(&mut out[off..off + K::WIDTH]);
-        }
-    }
+    fill(&mut out[key_off as usize..(key_off + key_len) as usize]);
 
     if let Descriptor::Table {
         positions_by_node, ..
@@ -1581,6 +1638,37 @@ mod tests {
             )
             .unwrap_err(),
             Error::NotAPermutation { .. }
+        ));
+    }
+
+    #[test]
+    fn encode_sorted_matches_encode_tree_and_rejects_bad_input() {
+        let layout = NamedLayout::MinWep;
+        assert_eq!(
+            encode_sorted(
+                layout,
+                &layout.rank_positions(3).unwrap(),
+                &[10u64, 20, 30, 40, 50, 60, 70]
+            )
+            .unwrap(),
+            sample_named()
+        );
+        let table = layout.rank_positions(2).unwrap();
+        assert_eq!(
+            encode_sorted(layout, &table, &[2u64, 1]).unwrap_err(),
+            Error::UnsortedKeys { index: 0 }
+        );
+        assert_eq!(
+            encode_sorted::<u64>(layout, &table, &[]).unwrap_err(),
+            Error::EmptyKeys
+        );
+        assert!(matches!(
+            encode_sorted(layout, &table, &[1u64, 2, 3, 4]).unwrap_err(),
+            Error::KeyCountMismatch { .. }
+        ));
+        assert!(matches!(
+            encode_sorted(layout, &table[..2], &[1u64]).unwrap_err(),
+            Error::Malformed { .. }
         ));
     }
 

@@ -199,6 +199,51 @@ impl NamedLayout {
             }
         }
     }
+
+    /// The rank → position table of this layout at `height`: entry
+    /// `r − 1` is the layout position of the node with in-order rank
+    /// `r`, i.e. where the `r`-th smallest key lives. A sorted key
+    /// array scatters into a layout image through this table, and an
+    /// image's keys gather back into sorted order through it.
+    ///
+    /// Filled in one pass over the nodes: compiled layouts evaluate
+    /// their [`StepPlan`], and the plan-less ones (alternating vEB
+    /// variants, HALFWEP) come from one recursive materialization.
+    ///
+    /// # Errors
+    /// [`crate::Error::HeightOutOfRange`] if `height` is `0` or exceeds
+    /// [`crate::engine::MAX_MATERIALIZE_HEIGHT`] (31, so every position
+    /// fits in `u32`).
+    pub fn rank_positions(&self, height: u32) -> crate::error::Result<Vec<u32>> {
+        if !(1..=crate::engine::MAX_MATERIALIZE_HEIGHT).contains(&height) {
+            return Err(crate::Error::HeightOutOfRange {
+                height,
+                min: 1,
+                max: crate::engine::MAX_MATERIALIZE_HEIGHT,
+            });
+        }
+        let mut table = vec![0u32; ((1u64 << height) - 1) as usize];
+        match self.compile_plan(height) {
+            Some(plan) => fill_rank_positions(&mut table, height, |node, d| plan.position(node, d)),
+            None => {
+                let layout = self.try_materialize(height)?;
+                fill_rank_positions(&mut table, height, |node, _| layout.position(node));
+            }
+        }
+        Ok(table)
+    }
+}
+
+/// Visits every node once, level by level, and stores its position at
+/// its in-order rank: node `2^d + j` has rank `j·2^{h−d} + 2^{h−d−1}`.
+fn fill_rank_positions(table: &mut [u32], height: u32, position: impl Fn(NodeId, u32) -> u64) {
+    for d in 0..height {
+        let span = 1u64 << (height - d);
+        for j in 0..1u64 << d {
+            let rank = j * span + span / 2;
+            table[(rank - 1) as usize] = position((1u64 << d) + j, d) as u32;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -236,6 +281,28 @@ mod tests {
             }
             assert_eq!(idx.node_at_position(tree.len()), None);
             assert_eq!(idx.in_order_of_position(u64::MAX), None);
+        }
+    }
+
+    #[test]
+    fn rank_positions_match_the_indexers() {
+        for layout in NamedLayout::ALL {
+            for h in 1..=9 {
+                let idx = layout.indexer(h);
+                let table = layout.rank_positions(h).expect("valid height");
+                assert_eq!(table.len() as u64, (1u64 << h) - 1);
+                for (r, &p) in table.iter().enumerate() {
+                    assert_eq!(
+                        u64::from(p),
+                        idx.position_of_in_order(r as u64 + 1),
+                        "{layout} h={h} rank {}",
+                        r + 1
+                    );
+                }
+            }
+        }
+        for h in [0, 32] {
+            assert!(NamedLayout::MinWep.rank_positions(h).is_err(), "h={h}");
         }
     }
 

@@ -78,6 +78,15 @@ pub trait SearchBackend<K: Copy + Ord> {
     /// ranks, so traces can record every touched node.
     fn position_of_rank(&self, rank: u64) -> Option<u64>;
 
+    /// The raw little-endian key region, in layout order, of the
+    /// encoded binary `.cobt` image this backend serves from; `None`
+    /// for in-memory backends and fat-node files. With the layout's
+    /// rank → position table a caller reads every stored key back in
+    /// sorted order, one load per key and no descent.
+    fn key_region(&self) -> Option<&[u8]> {
+        None
+    }
+
     // ------------------------------------------------------------------
     // Provided: point queries
     // ------------------------------------------------------------------

@@ -1026,6 +1026,16 @@ impl<K: Ord + Copy + FixedKey> SearchTree<K> {
         Ok(Self::from_mapped(MappedTree::from_bytes(bytes)?))
     }
 
+    /// The named layout and raw key region of the binary named-layout
+    /// image this tree serves from (see [`SearchBackend::key_region`]);
+    /// `None` for heap storage, fat files and table-descriptor files.
+    pub(crate) fn named_image(&self) -> Option<(NamedLayout, &[u8])> {
+        match self.provenance {
+            Provenance::Named(layout) => Some((layout, SearchBackend::key_region(self)?)),
+            _ => None,
+        }
+    }
+
     fn from_mapped(mapped: MappedTree<K>) -> Self {
         let provenance = match (mapped.named_layout(), mapped.fat_layout()) {
             (Some(layout), _) => Provenance::Named(layout),
@@ -1100,6 +1110,13 @@ impl<K: Ord + Copy> SearchBackend<K> for SearchTree<K> {
         match self.inner() {
             InnerRef::Slots(b) => b.position_of_rank(rank),
             InnerRef::Keys(b) => b.position_of_rank(rank),
+        }
+    }
+
+    fn key_region(&self) -> Option<&[u8]> {
+        match self.inner() {
+            InnerRef::Slots(_) => None,
+            InnerRef::Keys(b) => b.key_region(),
         }
     }
 

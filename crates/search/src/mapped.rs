@@ -518,6 +518,12 @@ impl<K: FixedKey> SearchBackend<K> for MappedTree<K> {
             self.position(node, self.tree.depth(node))
         })
     }
+
+    fn key_region(&self) -> Option<&[u8]> {
+        self.fat_index
+            .is_none()
+            .then(|| self.geometry.key_bytes(self.region.bytes()))
+    }
 }
 
 impl<K> std::fmt::Debug for MappedTree<K> {

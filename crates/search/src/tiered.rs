@@ -78,7 +78,7 @@
 //! # Ok::<(), cobtree_core::Error>(())
 //! ```
 
-use crate::facade::{SaveOptions, SearchTree, Storage};
+use crate::facade::{SearchTree, Storage};
 use crate::forest::{Forest, ForestRange, ScrubReport};
 use cobtree_core::error::{check_sorted_keys, Error, Result};
 use cobtree_core::format::{self, FixedKey, ManifestV2, ShardRecord};
@@ -1148,8 +1148,9 @@ enum ShardPlan<K> {
         count: u64,
         bounds: (K, K),
     },
-    /// Build a fresh tree over these keys (possibly none → empty slot).
-    Build { keys: Vec<K> },
+    /// Build a fresh tree over this run of the flush's merged keys
+    /// (possibly empty → empty slot).
+    Build { keys: std::ops::Range<usize> },
 }
 
 /// Worker wake-up state under its mutex.
@@ -1372,7 +1373,8 @@ fn rebuild_in_memory<K: FixedKey>(
     base: Option<&Forest<K>>,
     frozen: &Memtable<K>,
 ) -> Result<Option<Arc<Forest<K>>>> {
-    let merged = merged_live(base, frozen);
+    let mut merged = Vec::new();
+    merged_live(base, frozen, &mut RankTables::default(), &mut merged)?;
     if merged.is_empty() {
         return Ok(None);
     }
@@ -1385,28 +1387,129 @@ fn rebuild_in_memory<K: FixedKey>(
         .map(|f| Some(Arc::new(f)))
 }
 
-/// The live keys of `(frozen over base)`, merged in ascending order.
-fn merged_live<K: Ord + Copy>(base: Option<&Forest<K>>, frozen: &Memtable<K>) -> Vec<K> {
-    let base_len = base.map_or(0, |f| f.len() as usize);
-    let mut out = Vec::with_capacity(base_len + frozen.inserts.len());
-    let mut ins = frozen.inserts.iter().copied().peekable();
-    if let Some(f) = base {
-        for key in f.iter() {
-            while ins.peek().is_some_and(|&i| i < key) {
-                out.push(ins.next().expect("peeked"));
+/// Rank → position tables for one flush, one per distinct
+/// `(layout, height)`, shared by every shard the flush gathers from or
+/// scatters into and dropped with it.
+#[derive(Default)]
+struct RankTables(Vec<(NamedLayout, u32, Vec<u32>)>);
+
+impl RankTables {
+    fn get(&mut self, layout: NamedLayout, height: u32) -> Result<&[u32]> {
+        let at = match self
+            .0
+            .iter()
+            .position(|&(l, h, _)| l == layout && h == height)
+        {
+            Some(at) => at,
+            None => {
+                self.0
+                    .push((layout, height, layout.rank_positions(height)?));
+                self.0.len() - 1
             }
-            if !has(&frozen.tombstones, key) {
-                out.push(key);
-            }
+        };
+        Ok(&self.0[at].2)
+    }
+}
+
+/// Smallest tree height whose `2^h − 1` slots hold `n ≥ 1` keys — the
+/// height `SearchTree::builder` picks.
+fn height_for(n: usize) -> u32 {
+    usize::BITS - n.leading_zeros()
+}
+
+/// Appends to `out` the ascending `base` keys with the disjoint
+/// ascending `inserts` merged in and the ascending `tombstones` (a
+/// subset of `base`) dropped — one linear pass over all three.
+fn merge_live<K: Ord + Copy>(
+    base: impl Iterator<Item = K>,
+    inserts: &[K],
+    tombstones: &[K],
+    out: &mut Vec<K>,
+) {
+    let mut ins = inserts.iter().copied().peekable();
+    let mut dead = tombstones.iter().copied().peekable();
+    for key in base {
+        while let Some(x) = ins.next_if(|&x| x < key) {
+            out.push(x);
+        }
+        while dead.next_if(|&t| t < key).is_some() {}
+        if dead.next_if_eq(&key).is_none() {
+            out.push(key);
         }
     }
     out.extend(ins);
-    out
 }
 
-/// Plans the next epoch's shards. Incremental mode routes each
-/// buffered delta to the dense base shard owning its key range and
-/// rebuilds only the shards that received one; full mode re-partitions
+/// Merges one base shard with the delta routed to it (see
+/// [`merge_live`]). A shard served from a named-layout image is
+/// gathered in rank order straight from its key region through the
+/// layout's rank → position table; heap shards are iterated.
+fn merge_shard<K: FixedKey>(
+    tree: &SearchTree<K>,
+    (inserts, tombstones): (&[K], &[K]),
+    tables: &mut RankTables,
+    out: &mut Vec<K>,
+) -> Result<()> {
+    match tree.named_image() {
+        Some((layout, region)) => {
+            let table = tables.get(layout, tree.height())?;
+            let gathered = table[..tree.len() as usize].iter().map(|&p| {
+                let off = p as usize * K::WIDTH;
+                K::read_le(&region[off..off + K::WIDTH])
+            });
+            merge_live(gathered, inserts, tombstones, out);
+        }
+        None => merge_live(tree.iter(), inserts, tombstones, out),
+    }
+    Ok(())
+}
+
+/// Splits the frozen delta by dense base shard: shard `i` owns
+/// `[fence_i, fence_{i+1})`, and keys below the first fence go to
+/// shard 0 — some shard has to absorb them, and the leftmost keeps
+/// fences ascending. Returns `(inserts, tombstones)` per shard.
+fn route<'m, K: Ord + Copy>(fences: &[K], frozen: &'m Memtable<K>) -> Vec<(&'m [K], &'m [K])> {
+    let split = |keys: &'m [K]| -> Vec<&'m [K]> {
+        let mut cuts = vec![0];
+        cuts.extend(
+            fences
+                .iter()
+                .skip(1)
+                .map(|&f| keys.partition_point(|&x| x < f)),
+        );
+        cuts.push(keys.len());
+        cuts.windows(2).map(|w| &keys[w[0]..w[1]]).collect()
+    };
+    split(&frozen.inserts)
+        .into_iter()
+        .zip(split(&frozen.tombstones))
+        .collect()
+}
+
+/// Appends the live keys of `(frozen over base)` to `out` in ascending
+/// order, merged shard by shard.
+fn merged_live<K: FixedKey>(
+    base: Option<&Forest<K>>,
+    frozen: &Memtable<K>,
+    tables: &mut RankTables,
+    out: &mut Vec<K>,
+) -> Result<()> {
+    let Some(f) = base else {
+        // Tombstones only ever name keys of a base.
+        out.extend_from_slice(&frozen.inserts);
+        return Ok(());
+    };
+    out.reserve(f.len() as usize + frozen.inserts.len());
+    for (tree, delta) in f.shards().zip(route(f.router().fences(), frozen)) {
+        merge_shard(tree, delta, tables, out)?;
+    }
+    Ok(())
+}
+
+/// Plans the next epoch's shards over one buffer of merged keys, which
+/// the `Build` plans index. Incremental mode routes each buffered
+/// delta to the dense base shard owning its key range and rebuilds
+/// only the shards that received one; full mode re-partitions
 /// everything evenly.
 fn plan_shards<K: FixedKey>(
     cfg: &TieredConfig,
@@ -1414,29 +1517,29 @@ fn plan_shards<K: FixedKey>(
     gens: &[u64],
     frozen: &Memtable<K>,
     mode: FlushMode,
-) -> Vec<ShardPlan<K>> {
+    tables: &mut RankTables,
+) -> Result<(Vec<K>, Vec<ShardPlan<K>>)> {
+    let mut merged = Vec::new();
     if let (FlushMode::Incremental, Some(f)) = (mode, base) {
-        let fences = f.router().fences();
-        let dense = f.active_shards();
-        debug_assert_eq!(gens.len(), dense);
-        // Keys below the first fence route to shard 0 — some shard has
-        // to absorb them, and the leftmost keeps fences ascending.
-        let shard_of =
-            |key: K| -> usize { fences.partition_point(|&x| x <= key).saturating_sub(1) };
-        let mut ins_by = vec![Vec::new(); dense];
-        let mut tomb_by = vec![false; dense];
-        for &key in &frozen.inserts {
-            ins_by[shard_of(key)].push(key);
-        }
-        for &key in &frozen.tombstones {
-            tomb_by[shard_of(key)] = true;
-        }
-        let mut plans = Vec::with_capacity(dense);
-        for (i, tree) in f.shards().enumerate() {
-            // A quarantined shard is never carried: rebuilding it from
-            // the still-intact in-memory tree under a fresh generation
-            // IS the heal.
-            if ins_by[i].is_empty() && !tomb_by[i] && !f.is_quarantined(i) {
+        debug_assert_eq!(gens.len(), f.active_shards());
+        let deltas = route(f.router().fences(), frozen);
+        // A quarantined shard is never carried: rebuilding it from the
+        // still-intact in-memory tree under a fresh generation IS the
+        // heal.
+        let dirty = |i: usize| {
+            let (ins, dead) = deltas[i];
+            !ins.is_empty() || !dead.is_empty() || f.is_quarantined(i)
+        };
+        merged.reserve(
+            f.shards()
+                .enumerate()
+                .filter(|&(i, _)| dirty(i))
+                .map(|(i, tree)| tree.len() as usize + deltas[i].0.len())
+                .sum(),
+        );
+        let mut plans = Vec::with_capacity(gens.len());
+        for (i, (tree, &delta)) in f.shards().zip(&deltas).enumerate() {
+            if !dirty(i) {
                 let count = tree.len();
                 let bounds = (
                     tree.select(1).expect("shards are non-empty"),
@@ -1448,32 +1551,26 @@ fn plan_shards<K: FixedKey>(
                     bounds,
                 });
             } else {
-                let mut keys = Vec::with_capacity(tree.len() as usize + ins_by[i].len());
-                let mut ins = ins_by[i].iter().copied().peekable();
-                for key in tree.iter() {
-                    while ins.peek().is_some_and(|&x| x < key) {
-                        keys.push(ins.next().expect("peeked"));
-                    }
-                    if !has(&frozen.tombstones, key) {
-                        keys.push(key);
-                    }
-                }
-                keys.extend(ins);
-                plans.push(ShardPlan::Build { keys });
+                let start = merged.len();
+                merge_shard(tree, delta, tables, &mut merged)?;
+                plans.push(ShardPlan::Build {
+                    keys: start..merged.len(),
+                });
             }
         }
-        return plans;
+        return Ok((merged, plans));
     }
     // Full rebuild: even range partition over the merged live set,
     // mirroring ForestBuilder's split.
-    let merged = merged_live(base, frozen);
+    merged_live(base, frozen, tables, &mut merged)?;
     let n = merged.len();
     let slots = cfg.shards.max(1);
-    (0..slots)
+    let plans = (0..slots)
         .map(|slot| ShardPlan::Build {
-            keys: merged[slot * n / slots..(slot + 1) * n / slots].to_vec(),
+            keys: slot * n / slots..(slot + 1) * n / slots,
         })
-        .collect()
+        .collect();
+    Ok((merged, plans))
 }
 
 /// A freshly opened base tier: the mapped forest (`None` when the
@@ -1497,7 +1594,8 @@ fn publish_to_dir<K: FixedKey>(
     mode: FlushMode,
     io: &dyn StorageIo,
 ) -> Result<(OpenedBase<K>, u64)> {
-    let plans = plan_shards(cfg, base, gens, frozen, mode);
+    let mut tables = RankTables::default();
+    let (merged, plans) = plan_shards(cfg, base, gens, frozen, mode, &mut tables)?;
     let mut gen = next_gen;
     let mut rows: Vec<ShardRecord<K>> = Vec::with_capacity(plans.len());
     for plan in plans {
@@ -1517,12 +1615,9 @@ fn publish_to_dir<K: FixedKey>(
                 generation: 0,
             }),
             ShardPlan::Build { keys } => {
-                let tree = SearchTree::builder()
-                    .layout(cfg.layout)
-                    .storage(Storage::Implicit)
-                    .keys(keys.iter().copied())
-                    .build()?;
-                let bytes = tree.encode(&SaveOptions::new())?;
+                let keys = &merged[keys];
+                let table = tables.get(cfg.layout, height_for(keys.len()))?;
+                let bytes = format::encode_sorted(cfg.layout, table, keys)?;
                 io.write_atomic(&dir.join(tiered_shard_name(gen)), &bytes)?;
                 rows.push(ShardRecord {
                     key_count: keys.len() as u64,
@@ -2335,6 +2430,67 @@ mod tests {
         assert_eq!(reopened.len(), 21);
         assert!(reopened.contains(100) && reopened.contains(101) && !reopened.contains(1));
         drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The flush's image builder writes exactly the bytes
+    /// `SearchTree::encode` writes for an implicit tree over the same
+    /// keys, for every binary named layout and for key counts on both
+    /// sides of each height boundary; gathering the reopened mapped
+    /// file through the rank table yields `iter()`.
+    #[test]
+    fn sorted_scatter_matches_encode_and_gathers_back() {
+        use crate::facade::SaveOptions;
+        let mut state = 0x0C0B_7EE5_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let mut counts = vec![1usize, 2, 3];
+        for k in [4u32, 9] {
+            counts.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        counts.push(1 + (next() % 3_000) as usize);
+        let dir = temp_dir("scatter-parity");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shard.cobt");
+        for layout in NamedLayout::ALL {
+            let mut tables = RankTables::default();
+            for &n in &counts {
+                let mut key = 0u64;
+                let keys: Vec<u64> = (0..n)
+                    .map(|_| {
+                        key += 1 + next() % 50;
+                        key
+                    })
+                    .collect();
+                let want = SearchTree::builder()
+                    .layout(layout)
+                    .storage(Storage::Implicit)
+                    .keys(keys.iter().copied())
+                    .build()
+                    .unwrap()
+                    .encode(&SaveOptions::new())
+                    .unwrap();
+                let table = tables.get(layout, height_for(n)).unwrap();
+                let got = format::encode_sorted(layout, table, &keys).unwrap();
+                assert!(got == want, "{layout} n={n}: image differs from encode");
+
+                std::fs::write(&path, &got).unwrap();
+                let mapped = SearchTree::<u64>::open(&path).unwrap();
+                assert_eq!(mapped.storage(), Storage::Mapped);
+                let mut gathered = Vec::new();
+                merge_shard(&mapped, (&[], &[]), &mut tables, &mut gathered).unwrap();
+                assert_eq!(
+                    gathered,
+                    mapped.iter().collect::<Vec<_>>(),
+                    "{layout} n={n}"
+                );
+                assert_eq!(gathered, keys, "{layout} n={n}");
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -114,11 +114,14 @@ fn assert_matches_oracle(engine: &TieredForest<u64>, oracle: &BTreeSet<u64>, tag
             keys.get(lt + 1).copied(),
             "{tag}: seek({p}).next"
         );
-        assert_eq!(
-            cur.prev(),
-            keys.get(lt).copied(),
-            "{tag}: back to seek({p})"
-        );
+        // `next` past the end stays on the after-last sentinel, so a
+        // probe above every key steps back onto the last key.
+        let back = if lt == keys.len() {
+            keys.last()
+        } else {
+            keys.get(lt)
+        };
+        assert_eq!(cur.prev(), back.copied(), "{tag}: back to seek({p})");
     }
     assert_eq!(cur.seek_first(), keys.first().copied(), "{tag}");
     assert_eq!(cur.seek_last(), keys.last().copied(), "{tag}");
@@ -136,62 +139,148 @@ fn assert_matches_oracle(engine: &TieredForest<u64>, oracle: &BTreeSet<u64>, tag
     }
 }
 
+/// The oracle replay shared by the random and the scripted cases: seed
+/// a durable two-shard engine, apply `ops` — `(0, k)` insert, `(1, k)`
+/// remove, `(2, k)` read (every third one compacts first), `(3, _)`
+/// incremental flush — against a `BTreeSet`, then check the engine
+/// buffered, flushed, reopened, compacted and reopened again.
+fn replay_against_oracle(
+    layout: NamedLayout,
+    seed_keys: BTreeSet<u64>,
+    ops: &[(u64, u64)],
+    dir: &std::path::Path,
+) -> Result<(), TestCaseError> {
+    std::fs::remove_dir_all(dir).ok();
+    let engine: TieredForest<u64> = TieredForest::builder()
+        .layout(layout)
+        .shards(2)
+        .memtable_entries(1 << 30) // only explicit flushes
+        .path(dir)
+        .keys(seed_keys.iter().copied())
+        .build()
+        .expect("build durable engine");
+    let mut oracle: BTreeSet<u64> = seed_keys;
+
+    for (i, &(op, key)) in ops.iter().enumerate() {
+        match op {
+            0 => prop_assert_eq!(
+                engine.insert(key),
+                oracle.insert(key),
+                "op {} insert {}",
+                i,
+                key
+            ),
+            1 => prop_assert_eq!(
+                engine.remove(key),
+                oracle.remove(&key),
+                "op {} remove {}",
+                i,
+                key
+            ),
+            2 => {
+                prop_assert_eq!(
+                    engine.contains(key),
+                    oracle.contains(&key),
+                    "op {} get {}",
+                    i,
+                    key
+                );
+                // Every third read op forces a compaction first, so
+                // later ops run against a freshly published base
+                // with an empty memtable.
+                if i % 3 == 0 {
+                    engine.compact().expect("compact");
+                    prop_assert_eq!(engine.buffered(), 0, "op {}", i);
+                }
+            }
+            _ => {
+                // Rebuild only the shards the buffer touches: they are
+                // gathered at one height and may be scattered at another.
+                engine.flush().expect("flush");
+                prop_assert_eq!(engine.buffered(), 0, "op {}", i);
+                let live: Vec<u64> = engine.snapshot().iter().collect();
+                let expect: Vec<u64> = oracle.iter().copied().collect();
+                prop_assert_eq!(live, expect, "op {} flush", i);
+            }
+        }
+        prop_assert_eq!(engine.len(), oracle.len() as u64, "op {}", i);
+    }
+
+    // Mid-stream: memtable (and possibly tombstones) pending.
+    assert_matches_oracle(&engine, &oracle, "buffered");
+    // Incrementally flushed, then durable across a reopen.
+    engine.flush().expect("final flush");
+    assert_matches_oracle(&engine, &oracle, "flushed");
+    drop(engine);
+    let engine: TieredForest<u64> = TieredForest::open(dir).expect("reopen after flush");
+    assert_matches_oracle(&engine, &oracle, "reopened after flush");
+    // Drained: empty memtable, pure base.
+    engine.compact().expect("final compact");
+    assert_matches_oracle(&engine, &oracle, "drained");
+    // Durable: a reopened store serves the identical state.
+    drop(engine);
+    let reopened: TieredForest<u64> = TieredForest::open(dir).expect("reopen");
+    assert_matches_oracle(&reopened, &oracle, "reopened");
+    drop(reopened);
+    std::fs::remove_dir_all(dir).ok();
+    Ok(())
+}
+
+/// Scripted flush cases for [`replay_against_oracle`], for every layout
+/// and several heights `h`. Seeding `2·(2^h − 1)` keys puts exactly
+/// `2^h − 1` in each shard; then shard 0 grows to `2^h` keys and shrinks
+/// back (so the flush gathers at one height and scatters at the other),
+/// both shards lose their first and last keys to tombstones, and keys
+/// arrive below the first fence — with an incremental flush after each
+/// step and a `BTreeSet` replay checked against the reopened store.
+#[test]
+fn flush_cases_match_btreeset_replay() {
+    for layout in NamedLayout::ALL {
+        for h in [1u32, 3, 6] {
+            let per_shard = (1u64 << h) - 1;
+            let seed: BTreeSet<u64> = (1..=2 * per_shard).map(|k| k * 10).collect();
+            let last0 = per_shard * 10;
+            let (first1, last1) = (last0 + 10, 2 * per_shard * 10);
+            let flush = (3, 0);
+            let ops = [
+                (0, 15), // shard 0 grows from 2^h − 1 to 2^h keys
+                flush,
+                (1, 15), // ... and shrinks back to 2^h − 1
+                flush,
+                (1, 10), // tombstones on both shards' first and last keys
+                (1, last0),
+                (1, first1),
+                (1, last1),
+                flush,
+                (0, 1), // inserts below the first fence
+                (0, 5),
+                (0, last1 + 5), // and above the last key
+                flush,
+            ];
+            let dir = temp_dir(&format!("flush-cases-{layout}"), u64::from(h));
+            replay_against_oracle(layout, seed, &ops, &dir)
+                .unwrap_or_else(|e| panic!("{layout} h={h}: {e:?}"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The cross-tier ordered-map oracle: arbitrary interleavings of
-    /// inserts, removes, explicit compactions and reads against a
-    /// durable (mapped-storage) engine for ≥2 layouts, with the oracle
-    /// consulted mid-stream (memtable populated, tombstones pending
-    /// against the base) and after a full drain (empty memtable).
+    /// inserts, removes, incremental flushes, explicit compactions and
+    /// reads against a durable (mapped-storage) engine for ≥2 layouts,
+    /// with the oracle consulted mid-stream (memtable populated,
+    /// tombstones pending against the base) and after a full drain
+    /// (empty memtable).
     #[test]
     fn ordered_api_matches_btreeset_across_tiers(
         layout in proptest::sample::select(vec![NamedLayout::MinWep, NamedLayout::PreVeb]),
         seed_keys in proptest::collection::btree_set(0u64..4_000, 0..120),
-        ops in proptest::collection::vec((0u64..3u64, 0u64..4_000), 1..160),
+        ops in proptest::collection::vec((0u64..4u64, 0u64..4_000), 1..160),
         salt in any::<u64>(),
     ) {
-        let dir = temp_dir("oracle", salt);
-        std::fs::remove_dir_all(&dir).ok();
-        let engine: TieredForest<u64> = TieredForest::builder()
-            .layout(layout)
-            .shards(2)
-            .memtable_entries(1 << 30) // only explicit flushes
-            .path(&dir)
-            .keys(seed_keys.iter().copied())
-            .build()
-            .expect("build durable engine");
-        let mut oracle: BTreeSet<u64> = seed_keys;
-
-        for (i, &(op, key)) in ops.iter().enumerate() {
-            match op {
-                0 => prop_assert_eq!(engine.insert(key), oracle.insert(key), "op {} insert {}", i, key),
-                1 => prop_assert_eq!(engine.remove(key), oracle.remove(&key), "op {} remove {}", i, key),
-                _ => {
-                    prop_assert_eq!(engine.contains(key), oracle.contains(&key), "op {} get {}", i, key);
-                    // Every third read op forces a compaction first, so
-                    // later ops run against a freshly published base
-                    // with an empty memtable.
-                    if i % 3 == 0 {
-                        engine.compact().expect("compact");
-                        prop_assert_eq!(engine.buffered(), 0, "op {}", i);
-                    }
-                }
-            }
-            prop_assert_eq!(engine.len(), oracle.len() as u64, "op {}", i);
-        }
-
-        // Mid-stream: memtable (and possibly tombstones) pending.
-        assert_matches_oracle(&engine, &oracle, "buffered");
-        // Drained: empty memtable, pure base.
-        engine.compact().expect("final compact");
-        assert_matches_oracle(&engine, &oracle, "drained");
-        // Durable: a reopened store serves the identical state.
-        drop(engine);
-        let reopened: TieredForest<u64> = TieredForest::open(&dir).expect("reopen");
-        assert_matches_oracle(&reopened, &oracle, "reopened");
-        drop(reopened);
-        std::fs::remove_dir_all(&dir).ok();
+        replay_against_oracle(layout, seed_keys, &ops, &temp_dir("oracle", salt))?;
     }
 
     /// Crash consistency: kill the compaction at an arbitrary write

@@ -11,7 +11,7 @@ use crate::report::Table;
 use crate::timing::median_time;
 use cobtree_core::NamedLayout;
 use cobtree_search::workload::UniformKeys;
-use cobtree_search::{ExplicitTree, ImplicitTree, IndexOnlySearcher};
+use cobtree_search::{ExplicitTree, IndexOnlySearcher, SearchTree, Storage};
 
 fn keys_for(h: u32, count: usize, seed: u64) -> Vec<u64> {
     UniformKeys::for_height(h, seed).take_vec(count)
@@ -60,8 +60,12 @@ pub fn implicit_search_time(cfg: &Config, layouts: &[NamedLayout]) -> Table {
         let all: Vec<u64> = (1..=(1u64 << h) - 1).collect();
         let mut row = vec![h.to_string()];
         for &l in layouts {
-            let idx = l.indexer(h);
-            let tree = ImplicitTree::build(idx, &all);
+            let tree = SearchTree::builder()
+                .layout(l)
+                .storage(Storage::Implicit)
+                .keys(all.iter().copied())
+                .build()
+                .expect("complete key set");
             let ns = median_time(cfg.repeats, keys.len() as u64, || {
                 tree.search_batch_checksum(&keys)
             });

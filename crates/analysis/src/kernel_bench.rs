@@ -366,7 +366,7 @@ mod tests {
     fn tiny_run_produces_parity_checked_report() {
         let cfg = KernelBenchConfig::tiny();
         let report = run(&cfg, None);
-        // 4 storages (binary + fat, heap + mapped each) × 3 mixes ×
+        // 4 storages (binary + fat, in-memory + mapped each) × 3 mixes ×
         // (reference + kernel + 2 widths).
         assert_eq!(report.points.len(), 4 * 3 * 4);
         assert_eq!(report.fat_layout, "FAT16-VEB");
@@ -385,7 +385,7 @@ mod tests {
         };
         assert_eq!(ck("implicit", "uniform"), ck("mapped", "uniform"));
         assert_eq!(ck("implicit", "zipf"), ck("mapped", "zipf"));
-        // The fat plane serves the same tree from heap and mapped bytes.
+        // The fat plane serves the same tree from in-memory and mapped bytes.
         assert_eq!(ck("fat_implicit", "uniform"), ck("fat_mapped", "uniform"));
         assert_eq!(ck("fat_implicit", "zipf"), ck("fat_mapped", "zipf"));
         assert_eq!(ck("fat_implicit", "batch"), ck("fat_mapped", "batch"));

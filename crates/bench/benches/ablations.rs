@@ -6,7 +6,7 @@ use cobtree_bench::bench_height;
 use cobtree_core::{EdgeWeights, NamedLayout};
 use cobtree_measures::functionals;
 use cobtree_search::workload::UniformKeys;
-use cobtree_search::ImplicitTree;
+use cobtree_search::{SearchTree, Storage};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
@@ -31,7 +31,12 @@ fn implicit_search(c: &mut Criterion) {
         NamedLayout::MinWep,
     ] {
         group.bench_function(BenchmarkId::from_parameter(layout.label()), |b| {
-            let tree = ImplicitTree::build(layout.indexer(h), &all);
+            let tree = SearchTree::builder()
+                .layout(layout)
+                .storage(Storage::Implicit)
+                .keys(all.iter().copied())
+                .build()
+                .expect("complete key set");
             b.iter(|| tree.search_batch_checksum(&keys));
         });
     }

@@ -315,7 +315,16 @@ mod tests {
     use cobtree_core::NamedLayout;
     use cobtree_search::trace::search_addresses;
     use cobtree_search::workload::UniformKeys;
-    use cobtree_search::ImplicitTree;
+    use cobtree_search::{SearchTree, Storage};
+
+    fn implicit(layout: NamedLayout, keys: &[u64]) -> SearchTree<u64> {
+        SearchTree::builder()
+            .layout(layout)
+            .storage(Storage::Implicit)
+            .keys(keys.iter().copied())
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn backend_replay_matches_index_replay() {
@@ -325,7 +334,7 @@ mod tests {
         let h = 12;
         let layout = NamedLayout::MinWep;
         let keys: Vec<u64> = (1..=(1u64 << h) - 1).collect();
-        let tree = ImplicitTree::build(layout.indexer(h), &keys);
+        let tree = implicit(layout, &keys);
         let workload = UniformKeys::for_height(h, 9).take_vec(20_000);
 
         let mut via_backend = presets::westmere_l1_l2();
@@ -360,9 +369,9 @@ mod tests {
             NamedLayout::PreVeb,
             NamedLayout::HalfWep,
         ] {
-            let tree = ImplicitTree::build(layout.indexer(h), &keys);
+            let tree = implicit(layout, &keys);
             // Probes mix hits and misses.
-            let workload: Vec<u64> = UniformKeys::new(tree.len() as u64 * 6, 17).take_vec(10_000);
+            let workload: Vec<u64> = UniformKeys::new(tree.len() * 6, 17).take_vec(10_000);
             let mut slow = presets::westmere_l1_l2();
             let slow_found = replay_search_backend(&mut slow, &tree, 8, 0, &workload);
             let mut fast = presets::westmere_l1_l2();
@@ -381,7 +390,7 @@ mod tests {
     #[test]
     fn range_scan_replay_counts_every_element() {
         let keys: Vec<u64> = (1..=1023u64).collect();
-        let tree = ImplicitTree::build(NamedLayout::InOrder.indexer(10), &keys);
+        let tree = implicit(NamedLayout::InOrder, &keys);
         let starts = cobtree_search::workload::scan_starts(1023, 32, 100, 7);
         let mut sim = presets::westmere_l1_l2();
         let touched = replay_range_scan(&mut sim, &tree, 4, 0, &starts, 32);
@@ -396,8 +405,8 @@ mod tests {
     fn sorted_batch_replay_accesses_no_more_than_point_replay() {
         let h = 12;
         let keys: Vec<u64> = (1..=(1u64 << h) - 1).collect();
-        let tree = ImplicitTree::build(NamedLayout::MinWep.indexer(h), &keys);
-        let batches = cobtree_search::workload::sorted_batches(tree.len() as u64, 64, 50, 0.0, 3);
+        let tree = implicit(NamedLayout::MinWep, &keys);
+        let batches = cobtree_search::workload::sorted_batches(tree.len(), 64, 50, 0.0, 3);
 
         let mut batch_sim = presets::westmere_l1_l2();
         let found = replay_sorted_batches(&mut batch_sim, &tree, 4, 0, &batches);

@@ -408,13 +408,13 @@ pub fn encode_tree<K: FixedKey>(
     })
 }
 
-/// Encodes strictly ascending `keys` as a named-layout tree file by
-/// scattering them into the zeroed key region: the key of 0-based rank
-/// `r` lands at layout position `rank_positions[r]`, and padding slots
-/// stay zero.
+/// Encodes strictly ascending `keys` as a tree file by scattering them
+/// into the zeroed key region: the key of 0-based rank `r` lands at
+/// layout position `rank_positions[r]`, and padding slots stay zero.
 /// The height is the one `rank_positions` was built for
-/// (`layout.rank_positions(h)`, so `2^h − 1` entries); pass the
-/// smallest `h` that holds the keys to get exactly the bytes
+/// ([`crate::index::rank_positions`], so `2^h − 1` entries), and
+/// `descriptor` must describe the same layout. With the smallest `h`
+/// that holds the keys this writes exactly the bytes
 /// `SearchTree::encode` writes for the same keys and layout.
 ///
 /// # Errors
@@ -422,7 +422,7 @@ pub fn encode_tree<K: FixedKey>(
 /// [`Error::Malformed`] when `rank_positions` is not a `2^h − 1` table,
 /// plus every [`encode_tree`] shape error.
 pub fn encode_sorted<K: FixedKey>(
-    layout: NamedLayout,
+    descriptor: &Descriptor<'_>,
     rank_positions: &[u32],
     keys: &[K],
 ) -> Result<Vec<u8>> {
@@ -441,7 +441,7 @@ pub fn encode_sorted<K: FixedKey>(
         height,
         keys.len() as u64,
         DEFAULT_BLOCK_BYTES,
-        &Descriptor::Named(layout),
+        descriptor,
         |region| {
             for (&key, &p) in keys.iter().zip(rank_positions) {
                 let off = p as usize * K::WIDTH;
@@ -1644,30 +1644,28 @@ mod tests {
     #[test]
     fn encode_sorted_matches_encode_tree_and_rejects_bad_input() {
         let layout = NamedLayout::MinWep;
+        let rank_table =
+            |h| crate::index::rank_positions(layout.indexer(h).as_ref(), None).unwrap();
+        let named = &Descriptor::Named(layout);
         assert_eq!(
-            encode_sorted(
-                layout,
-                &layout.rank_positions(3).unwrap(),
-                &[10u64, 20, 30, 40, 50, 60, 70]
-            )
-            .unwrap(),
+            encode_sorted(named, &rank_table(3), &[10u64, 20, 30, 40, 50, 60, 70]).unwrap(),
             sample_named()
         );
-        let table = layout.rank_positions(2).unwrap();
+        let table = rank_table(2);
         assert_eq!(
-            encode_sorted(layout, &table, &[2u64, 1]).unwrap_err(),
+            encode_sorted(named, &table, &[2u64, 1]).unwrap_err(),
             Error::UnsortedKeys { index: 0 }
         );
         assert_eq!(
-            encode_sorted::<u64>(layout, &table, &[]).unwrap_err(),
+            encode_sorted::<u64>(named, &table, &[]).unwrap_err(),
             Error::EmptyKeys
         );
         assert!(matches!(
-            encode_sorted(layout, &table, &[1u64, 2, 3, 4]).unwrap_err(),
+            encode_sorted(named, &table, &[1u64, 2, 3, 4]).unwrap_err(),
             Error::KeyCountMismatch { .. }
         ));
         assert!(matches!(
-            encode_sorted(layout, &table[..2], &[1u64]).unwrap_err(),
+            encode_sorted(named, &table[..2], &[1u64]).unwrap_err(),
             Error::Malformed { .. }
         ));
     }

@@ -21,7 +21,6 @@
 pub mod generic;
 pub mod plan;
 pub mod simple;
-pub mod stepper;
 pub mod veb;
 pub mod wep;
 
@@ -199,51 +198,61 @@ impl NamedLayout {
             }
         }
     }
-
-    /// The rank → position table of this layout at `height`: entry
-    /// `r − 1` is the layout position of the node with in-order rank
-    /// `r`, i.e. where the `r`-th smallest key lives. A sorted key
-    /// array scatters into a layout image through this table, and an
-    /// image's keys gather back into sorted order through it.
-    ///
-    /// Filled in one pass over the nodes: compiled layouts evaluate
-    /// their [`StepPlan`], and the plan-less ones (alternating vEB
-    /// variants, HALFWEP) come from one recursive materialization.
-    ///
-    /// # Errors
-    /// [`crate::Error::HeightOutOfRange`] if `height` is `0` or exceeds
-    /// [`crate::engine::MAX_MATERIALIZE_HEIGHT`] (31, so every position
-    /// fits in `u32`).
-    pub fn rank_positions(&self, height: u32) -> crate::error::Result<Vec<u32>> {
-        if !(1..=crate::engine::MAX_MATERIALIZE_HEIGHT).contains(&height) {
-            return Err(crate::Error::HeightOutOfRange {
-                height,
-                min: 1,
-                max: crate::engine::MAX_MATERIALIZE_HEIGHT,
-            });
-        }
-        let mut table = vec![0u32; ((1u64 << height) - 1) as usize];
-        match self.compile_plan(height) {
-            Some(plan) => fill_rank_positions(&mut table, height, |node, d| plan.position(node, d)),
-            None => {
-                let layout = self.try_materialize(height)?;
-                fill_rank_positions(&mut table, height, |node, _| layout.position(node));
-            }
-        }
-        Ok(table)
-    }
 }
 
-/// Visits every node once, level by level, and stores its position at
-/// its in-order rank: node `2^d + j` has rank `j·2^{h−d} + 2^{h−d−1}`.
-fn fill_rank_positions(table: &mut [u32], height: u32, position: impl Fn(NodeId, u32) -> u64) {
+/// The rank → position table of `index`: entry `r − 1` is the layout
+/// position of the node with in-order rank `r`, i.e. where the `r`-th
+/// smallest key lives. A sorted key array scatters into a layout image
+/// through this table, and an image's keys gather back into sorted
+/// order through it. Any [`PositionIndex`] works, sparse fat layouts
+/// ([`crate::fat::FatIndex`]) included.
+///
+/// Filled in one pass over the nodes, through the index's compiled
+/// [`StepPlan`] when it has one and its virtual `position` otherwise.
+/// When `by_node` is given it receives the same positions in BFS order
+/// (`by_node[node − 1]`, the form of a [`StepPlan::Table`] and of a
+/// table descriptor) without a second position computation.
+///
+/// # Errors
+/// [`crate::Error::HeightOutOfRange`] if the index's height exceeds
+/// [`crate::engine::MAX_MATERIALIZE_HEIGHT`] or its slots overflow the
+/// `u32` position width.
+pub fn rank_positions(
+    index: &dyn PositionIndex,
+    mut by_node: Option<&mut Vec<u32>>,
+) -> crate::error::Result<Vec<u32>> {
+    let height = index.height();
+    let max = crate::engine::MAX_MATERIALIZE_HEIGHT;
+    if height > max || index.slot_capacity() > 1 << 32 {
+        return Err(crate::Error::HeightOutOfRange {
+            height,
+            min: 1,
+            max,
+        });
+    }
+    let len = ((1u64 << height) - 1) as usize;
+    let mut table = vec![0u32; len];
+    if let Some(v) = by_node.as_deref_mut() {
+        v.clear();
+        v.resize(len, 0);
+    }
+    let plan = index.compile_plan();
+    // Node `2^d + j` has in-order rank `j·2^{h−d} + 2^{h−d−1}`.
     for d in 0..height {
         let span = 1u64 << (height - d);
         for j in 0..1u64 << d {
-            let rank = j * span + span / 2;
-            table[(rank - 1) as usize] = position((1u64 << d) + j, d) as u32;
+            let node = (1u64 << d) + j;
+            let p = match &plan {
+                Some(plan) => plan.position(node, d),
+                None => index.position(node, d),
+            } as u32;
+            table[(j * span + span / 2 - 1) as usize] = p;
+            if let Some(v) = by_node.as_deref_mut() {
+                v[(node - 1) as usize] = p;
+            }
         }
     }
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -286,24 +295,31 @@ mod tests {
 
     #[test]
     fn rank_positions_match_the_indexers() {
-        for layout in NamedLayout::ALL {
-            for h in 1..=9 {
-                let idx = layout.indexer(h);
-                let table = layout.rank_positions(h).expect("valid height");
-                assert_eq!(table.len() as u64, (1u64 << h) - 1);
-                for (r, &p) in table.iter().enumerate() {
-                    assert_eq!(
-                        u64::from(p),
-                        idx.position_of_in_order(r as u64 + 1),
-                        "{layout} h={h} rank {}",
-                        r + 1
-                    );
-                }
+        let fat = crate::fat::FatLayout::ALL.map(|l| l.try_index(7).expect("fat index"));
+        let indexes = NamedLayout::ALL
+            .iter()
+            .flat_map(|layout| (1..=9).map(|h| layout.indexer(h)))
+            .chain(
+                fat.into_iter()
+                    .map(|ix| Box::new(ix) as Box<dyn PositionIndex>),
+            );
+        for idx in indexes {
+            let h = idx.height();
+            let mut by_node = Vec::new();
+            let table = rank_positions(idx.as_ref(), Some(&mut by_node)).expect("valid height");
+            assert_eq!(table.len() as u64, (1u64 << h) - 1);
+            for (r, &p) in table.iter().enumerate() {
+                assert_eq!(
+                    u64::from(p),
+                    idx.position_of_in_order(r as u64 + 1),
+                    "h={h}"
+                );
+            }
+            for (i, &p) in by_node.iter().enumerate() {
+                assert_eq!(u64::from(p), idx.position_of(i as u64 + 1), "h={h}");
             }
         }
-        for h in [0, 32] {
-            assert!(NamedLayout::MinWep.rank_positions(h).is_err(), "h={h}");
-        }
+        assert!(rank_positions(&simple::BfsIndex::new(32), None).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Compiled descent plans: per-layout position arithmetic, flattened
 //! into a form a search loop can evaluate with **zero virtual calls**.
 //!
-//! A [`PositionIndex`] answers `position(node, depth)` behind a vtable —
+//! A [`PositionIndex`](crate::index::PositionIndex) answers `position(node, depth)` behind a vtable —
 //! fine for building trees, but a point lookup pays that indirect call
 //! once per level. A [`StepPlan`] is built once per tree and precomputes
 //! whatever the layout allows:
@@ -27,17 +27,18 @@
 //!   `2^k − 1` entries serve every query's first `k` levels.
 //!
 //! Layouts with none of the above (the generic spec interpreter) simply
-//! return `None` from [`PositionIndex::compile_plan`] and keep their
+//! return `None` from
+//! [`PositionIndex::compile_plan`](crate::index::PositionIndex::compile_plan)
+//! and keep their
 //! virtual dispatch — the descent kernels in `cobtree-search` accept
 //! either.
 //!
 //! Plans are **bit-identical** to the indexers they compile: every
 //! constructor in this module is pinned against the corresponding
-//! [`PositionIndex`] over all nodes in the tests below, and the search
+//! `PositionIndex` over all nodes in the tests below, and the search
 //! kernels built on plans are pinned against the slow descent paths in
 //! `cobtree-search`.
 
-use crate::index::PositionIndex;
 use crate::named::NamedLayout;
 use crate::spec::CutRule;
 use crate::tree::{NodeId, Tree};
@@ -123,7 +124,8 @@ impl StepPlan {
     }
 
     /// Layout position of `node` at `depth` — the devirtualized
-    /// equivalent of [`PositionIndex::position`].
+    /// equivalent of
+    /// [`PositionIndex::position`](crate::index::PositionIndex::position).
     #[inline]
     #[must_use]
     pub fn position(&self, node: NodeId, depth: u32) -> u64 {
@@ -145,24 +147,6 @@ impl StepPlan {
     #[must_use]
     pub fn prefetch_is_cheap(&self) -> bool {
         matches!(self, StepPlan::Terms { .. } | StepPlan::Table { .. })
-    }
-
-    /// Materializes the full position table of `index` into a
-    /// [`StepPlan::Table`]. `None` when a position overflows `u32`
-    /// (possible only beyond height 32 — far past any materializable
-    /// tree).
-    #[must_use]
-    pub fn table_from_index(index: &dyn PositionIndex) -> Option<StepPlan> {
-        let height = index.height();
-        if height > 31 {
-            return None;
-        }
-        let tree = Tree::new(height);
-        let positions = tree
-            .nodes()
-            .map(|i| u32::try_from(index.position(i, tree.depth(i))).ok())
-            .collect::<Option<Vec<u32>>>()?;
-        Some(StepPlan::Table { height, positions })
     }
 
     /// Builds a [`StepPlan::Table`] from positions already computed by a
@@ -380,8 +364,8 @@ impl NamedLayout {
     /// (the alternating vEB variants and HALFWEP), whose position
     /// computation has data-dependent recursion that neither flattens
     /// to terms nor dispatches statically. Callers wanting a plan for
-    /// those layouts materialize a [`StepPlan::Table`] instead (see
-    /// [`StepPlan::table_from_index`]).
+    /// those layouts record a [`StepPlan::Table`] instead (see
+    /// [`crate::index::rank_positions`]).
     #[must_use]
     pub fn compile_plan(&self, height: u32) -> Option<StepPlan> {
         use super::wep::{partition_minep, partition_minwep};
@@ -460,7 +444,9 @@ mod tests {
         ] {
             let h = 9;
             let idx = layout.indexer(h);
-            let plan = StepPlan::table_from_index(idx.as_ref()).expect("h <= 31");
+            let mut by_node = Vec::new();
+            crate::index::rank_positions(idx.as_ref(), Some(&mut by_node)).expect("h <= 31");
+            let plan = StepPlan::from_positions(h, by_node);
             let tree = Tree::new(h);
             for i in tree.nodes() {
                 let d = tree.depth(i);

@@ -137,14 +137,23 @@ mod tests {
     use crate::block_transitions;
     use cobtree_core::{EdgeWeights, NamedLayout};
     use cobtree_search::workload::UniformKeys;
-    use cobtree_search::ImplicitTree;
+    use cobtree_search::{SearchTree, Storage};
+
+    fn implicit(layout: NamedLayout, keys: &[u64]) -> SearchTree<u64> {
+        SearchTree::builder()
+            .layout(layout)
+            .storage(Storage::Implicit)
+            .keys(keys.iter().copied())
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn mapped_backend_observes_the_same_locality_as_implicit() {
         // The observed measures are functions of visited positions
         // only, so a saved-and-reopened tree must report bit-identical
         // estimates to the in-memory backend it was serialized from.
-        use cobtree_search::{SaveOptions, SearchTree, Storage};
+        use cobtree_search::SaveOptions;
         let built = SearchTree::builder()
             .layout(NamedLayout::MinWep)
             .storage(Storage::Implicit)
@@ -174,7 +183,7 @@ mod tests {
         let h = 10;
         let layout = NamedLayout::MinWep;
         let keys: Vec<u64> = (1..=(1u64 << h) - 1).collect();
-        let tree = ImplicitTree::build(layout.indexer(h), &keys);
+        let tree = implicit(layout, &keys);
         let workload = UniformKeys::for_height(h, 42).take_vec(60_000);
         let sizes = [1u64, 2, 16, 64];
         let observed = observed_block_transitions(&tree, &workload, &sizes);
@@ -192,8 +201,8 @@ mod tests {
         let h = 12;
         let keys: Vec<u64> = (1..=(1u64 << h) - 1).collect();
         let n = keys.len() as u64;
-        let in_order = ImplicitTree::build(NamedLayout::InOrder.indexer(h), &keys);
-        let minwep = ImplicitTree::build(NamedLayout::MinWep.indexer(h), &keys);
+        let in_order = implicit(NamedLayout::InOrder, &keys);
+        let minwep = implicit(NamedLayout::MinWep, &keys);
         let starts = cobtree_search::workload::scan_starts(n, 64, 200, 5);
         let sizes = [16u64];
         let scan_in_order = observed_scan_block_transitions(&in_order, &starts, 64, &sizes);
@@ -215,8 +224,8 @@ mod tests {
         let h = 8;
         let keys: Vec<u64> = (1..=(1u64 << h) - 1).collect();
         let workload = UniformKeys::for_height(h, 3).take_vec(5_000);
-        let a = ImplicitTree::build(NamedLayout::PreVeb.indexer(h), &keys);
-        let b = ImplicitTree::build(NamedLayout::PreVeb.indexer(h), &keys);
+        let a = implicit(NamedLayout::PreVeb, &keys);
+        let b = implicit(NamedLayout::PreVeb, &keys);
         let la = observed_mean_transition_length(&a, &workload);
         let lb = observed_mean_transition_length(&b, &workload);
         assert!(la > 0.0);

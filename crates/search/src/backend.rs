@@ -4,10 +4,9 @@
 //! The paper's point is that the search *algorithm* is identical across
 //! layouts and storage kinds — only the position computation changes.
 //! This trait makes that literal: pointer-based ([`crate::ExplicitTree`]),
-//! pointer-less ([`crate::ImplicitTree`]), index-only
-//! ([`crate::IndexOnlyTree`]), stepper-driven ([`crate::SteppingTree`])
-//! trees and the [`crate::SearchTree`] facade all expose the same
-//! surface, so benches, the cache simulator and the analysis harness
+//! layout-ordered key images ([`crate::MappedTree`]), index-only
+//! ([`crate::IndexOnlyTree`]) trees and the [`crate::SearchTree`] facade
+//! all expose the same surface, so benches, the cache simulator and the analysis harness
 //! iterate backends generically through `&dyn SearchBackend<K>`.
 //!
 //! # The position ⇄ in-order rank contract
@@ -80,7 +79,7 @@ pub trait SearchBackend<K: Copy + Ord> {
 
     /// The raw little-endian key region, in layout order, of the
     /// encoded binary `.cobt` image this backend serves from; `None`
-    /// for in-memory backends and fat-node files. With the layout's
+    /// for the explicit and index-only backends and for fat-node images. With the layout's
     /// rank → position table a caller reads every stored key back in
     /// sorted order, one load per key and no descent.
     fn key_region(&self) -> Option<&[u8]> {
@@ -389,12 +388,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::implicit::ImplicitTree;
+    use crate::facade::{SearchTree, Storage};
     use cobtree_core::NamedLayout;
 
-    fn tree(h: u32) -> ImplicitTree<u64> {
-        let keys: Vec<u64> = (1..=(1u64 << h) - 1).map(|k| k * 10).collect();
-        ImplicitTree::build(NamedLayout::MinWep.indexer(h), &keys)
+    fn tree(h: u32) -> SearchTree<u64> {
+        SearchTree::builder()
+            .layout(NamedLayout::MinWep)
+            .storage(Storage::Implicit)
+            .keys((1..=(1u64 << h) - 1).map(|k| k * 10))
+            .build()
+            .unwrap()
     }
 
     #[test]

@@ -230,12 +230,16 @@ pub fn range_of<'a, K: Copy + Ord>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::implicit::ImplicitTree;
+    use crate::facade::{SearchTree, Storage};
     use cobtree_core::NamedLayout;
 
-    fn tree() -> ImplicitTree<u64> {
-        let keys: Vec<u64> = (1..=63u64).map(|k| k * 10).collect();
-        ImplicitTree::build(NamedLayout::MinWep.indexer(6), &keys)
+    fn tree() -> SearchTree<u64> {
+        SearchTree::builder()
+            .layout(NamedLayout::MinWep)
+            .storage(Storage::Implicit)
+            .keys((1..=63u64).map(|k| k * 10))
+            .build()
+            .unwrap()
     }
 
     #[test]

@@ -7,8 +7,10 @@
 
 use crate::backend::SearchBackend;
 use crate::kernel;
+use crate::slot::{padded_slots, Padded, Slot};
 use cobtree_core::error::{check_sorted_keys, Error, Result};
-use cobtree_core::Layout;
+use cobtree_core::index::PositionIndex;
+use cobtree_core::{Layout, Tree};
 
 /// One stored node: key plus two child positions.
 ///
@@ -89,7 +91,7 @@ impl<K: Ord + Copy> ExplicitTree<K> {
         })
     }
 
-    /// Builds from any [`PositionIndex`](cobtree_core::index::PositionIndex)
+    /// Builds from any [`PositionIndex`]
     /// — including *sparse* ones, where
     /// [`slot_capacity`](cobtree_core::index::PositionIndex::slot_capacity)
     /// exceeds `2^h − 1`. The node array gets one slot per layout
@@ -102,11 +104,8 @@ impl<K: Ord + Copy> ExplicitTree<K> {
     /// # Errors
     /// [`Error::EmptyKeys`] / [`Error::UnsortedKeys`] /
     /// [`Error::KeyCountMismatch`].
-    pub fn try_build_from_index(
-        index: &dyn cobtree_core::index::PositionIndex,
-        keys: &[K],
-    ) -> Result<Self> {
-        let tree = cobtree_core::Tree::try_new(index.height())?;
+    pub fn try_build_from_index(index: &dyn PositionIndex, keys: &[K]) -> Result<Self> {
+        let tree = Tree::try_new(index.height())?;
         check_sorted_keys(keys)?;
         if keys.len() as u64 != tree.len() {
             return Err(Error::KeyCountMismatch {
@@ -297,6 +296,30 @@ impl ExplicitTree<u64> {
         let keys: Vec<u64> = (1..=n).collect();
         ExplicitTree::build(layout, &keys)
     }
+}
+
+/// The [`crate::SearchTree`] facade's explicit backend: `keys` padded
+/// with suprema to the complete tree `index` lays out. Each node's
+/// position is computed once, so positions are bit-identical to every
+/// other storage of the same index; sparse (fat) indexes build one node
+/// per slot ([`ExplicitTree::try_build_from_index`]).
+pub(crate) fn build_padded<K: Ord + Copy>(
+    index: &dyn PositionIndex,
+    keys: &[K],
+) -> Result<Padded<ExplicitTree<Slot<K>>>> {
+    let tree = Tree::try_new(index.height())?;
+    let slots = padded_slots(keys, tree.height());
+    let explicit = if index.slot_capacity() > tree.len() {
+        ExplicitTree::try_build_from_index(index, &slots)?
+    } else {
+        let positions = tree
+            .nodes()
+            .map(|i| index.position(i, tree.depth(i)) as u32)
+            .collect();
+        let layout = Layout::try_from_positions(tree.height(), positions)?;
+        ExplicitTree::try_build(&layout, &slots)?
+    };
+    Ok(Padded::new(explicit, keys.len() as u64))
 }
 
 impl<K: Ord + Copy> SearchBackend<K> for ExplicitTree<K> {

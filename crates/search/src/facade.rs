@@ -23,26 +23,21 @@
 //!
 //! Key count — not tree height — is the sizing parameter: the builder
 //! picks the smallest complete tree that fits and pads the remainder
-//! with supremum sentinels internally, so any non-empty strictly-sorted key set
-//! works. All three storage backends built from one configuration share
-//! a single position index, so `search` returns the *same* positions —
-//! and [`SearchTree::search_batch_checksum`] the same checksums — no
-//! matter which storage is selected.
+//! internally, so any non-empty strictly-sorted key set works. All
+//! three storage backends built from one configuration share a single
+//! position index, so `search` returns the *same* positions — and
+//! [`SearchTree::search_batch_checksum`] the same checksums — no matter
+//! which storage is selected.
 
 use crate::backend::SearchBackend;
 use crate::cursor::{range_of, Cursor, Range};
-use crate::explicit::ExplicitTree;
-use crate::fat::FatHeapTree;
-use crate::implicit::ImplicitTree;
-use crate::index_only::IndexOnlyTree;
-use crate::kernel;
-use crate::mapped::MappedTree;
-use crate::slot::{padded_slots, Slot};
+use crate::mapped::{wants_table_plan, MappedTree};
+use crate::{explicit, index_only};
 use cobtree_core::error::{check_sorted_keys, Error, Result};
 use cobtree_core::fat::{FatIndex, FatLayout};
 use cobtree_core::format::{self, Descriptor, FixedKey};
 use cobtree_core::index::generic::GenericIndexer;
-use cobtree_core::index::{MaterializedIndex, PositionIndex};
+use cobtree_core::index::{rank_positions, MaterializedIndex, PositionIndex, StepPlan};
 use cobtree_core::weights::{encode_weight_profile, hot_path_layout, parse_weight_profile};
 use cobtree_core::{EdgeWeights, Layout, NamedLayout, ObservedProfile, RecursiveSpec, Tree};
 use std::path::{Path, PathBuf};
@@ -59,7 +54,8 @@ pub enum Storage {
     /// wall-clock champion (§II-B).
     Explicit,
     /// Keys only, in layout order; every transition recomputes the child
-    /// position arithmetically (§IV-E).
+    /// position arithmetically (§IV-E). Built as an owned `.cobt` image
+    /// served through the same key plane as [`Storage::Mapped`].
     Implicit,
     /// Keys in plain sorted order; layout positions are computed on
     /// demand and never stored (the §IV-E index-timing discipline,
@@ -305,7 +301,9 @@ impl<K: Ord + Copy> SearchTreeBuilder<K> {
         self.keys = keys.into_iter().collect();
         self
     }
+}
 
+impl<K: FixedKey> SearchTreeBuilder<K> {
     /// Validates the configuration and builds the tree.
     ///
     /// # Errors
@@ -331,7 +329,6 @@ impl<K: Ord + Copy> SearchTreeBuilder<K> {
         while ((1u64 << height) - 1) < n {
             height += 1;
         }
-        let slots = padded_slots(&self.keys, height);
         // Fold the builder's weight annotation into the source, keep
         // its provenance label, then collapse it into a directly
         // resolvable source (an observed profile may re-materialize
@@ -342,54 +339,16 @@ impl<K: Ord + Copy> SearchTreeBuilder<K> {
         };
         let layout_label = source.label();
         let source = source.normalized(height);
-        let inner = match self.storage {
-            // A pre-materialized source already *is* the layout — use it
-            // directly rather than round-tripping through its index.
-            Storage::Explicit => {
-                if let LayoutSource::Materialized(layout) = &source {
-                    if layout.height() != height {
-                        return Err(Error::HeightMismatch {
-                            expected: layout.height(),
-                            got: height,
-                        });
-                    }
-                    Inner::Explicit(ExplicitTree::try_build(layout, &slots)?)
-                } else if matches!(source, LayoutSource::Fat(_)) {
-                    // Fat layouts are sparse (positions beyond
-                    // `2^h − 1`), so they skip the permutation
-                    // materialization and build node-per-slot directly.
-                    let index = source.resolve(height)?;
-                    Inner::Explicit(ExplicitTree::try_build_from_index(index.as_ref(), &slots)?)
-                } else {
-                    // Materialize the *index* (not the engine) so explicit
-                    // positions are bit-identical to the arithmetic
-                    // backends even where an indexer is an automorphic
-                    // image of the engine's output.
-                    let index = source.resolve(height)?;
-                    let tree = Tree::new(height);
-                    let positions: Vec<u32> = tree
-                        .nodes()
-                        .map(|i| index.position(i, tree.depth(i)) as u32)
-                        .collect();
-                    let layout = Layout::try_from_positions(height, positions)?;
-                    Inner::Explicit(ExplicitTree::try_build(&layout, &slots)?)
-                }
-            }
-            Storage::Implicit => {
-                if let LayoutSource::Fat(layout) = &source {
-                    // The implicit realization of a fat layout is the
-                    // chunked heap plane searched by rank-of-key.
-                    Inner::FatHeap(FatHeapTree::try_build(
-                        FatIndex::try_new(*layout, height)?,
-                        &slots,
-                    )?)
-                } else {
-                    Inner::Implicit(ImplicitTree::try_build(source.resolve(height)?, &slots)?)
-                }
-            }
-            Storage::IndexOnly => {
-                Inner::IndexOnly(IndexOnlyTree::try_build(source.resolve(height)?, &slots)?)
-            }
+        let index = source.resolve(height)?;
+        let inner: Box<dyn SearchBackend<K> + Send + Sync> = match self.storage {
+            Storage::Explicit => Box::new(explicit::build_padded(index.as_ref(), &self.keys)?),
+            Storage::Implicit => Box::new(build_image(
+                &source,
+                index.as_ref(),
+                &layout_label,
+                &self.keys,
+            )?),
+            Storage::IndexOnly => Box::new(index_only::build_padded(index, &self.keys)?),
             Storage::Mapped => unreachable!("rejected above"),
         };
         let provenance = match &source {
@@ -408,16 +367,45 @@ impl<K: Ord + Copy> SearchTreeBuilder<K> {
     }
 }
 
-enum Inner<K> {
-    Explicit(ExplicitTree<Slot<K>>),
-    Implicit(ImplicitTree<Slot<K>>),
-    /// Implicit storage of a fat layout: the chunked heap plane.
-    FatHeap(FatHeapTree<Slot<K>>),
-    IndexOnly(IndexOnlyTree<Slot<K>>),
-    /// A mapped file backend, type-erased so the facade stays generic
-    /// over plain `Ord + Copy` keys (the `FixedKey` bound applies only
-    /// at open/save time, where the erasure happens).
-    Mapped(Box<dyn SearchBackend<K> + Send + Sync>),
+/// Scatters the sorted `keys` into an owned `.cobt` image of `source`'s
+/// layout — byte for byte what [`SearchTree::encode`] writes — and
+/// serves it through the mapped plane. The descriptor follows
+/// provenance: named and fat layouts travel by name, every other
+/// source as its position table. A named layout without a cheap plan
+/// ([`wants_table_plan`]) keeps the node → position table this pass
+/// records as its descent plan.
+fn build_image<K: FixedKey>(
+    source: &LayoutSource,
+    index: &dyn PositionIndex,
+    label: &str,
+    keys: &[K],
+) -> Result<MappedTree<K>> {
+    let mut by_node = Vec::new();
+    match source {
+        LayoutSource::Named(layout) => {
+            let keep_table = wants_table_plan(index.compile_plan().as_ref());
+            let ranks = rank_positions(index, keep_table.then_some(&mut by_node))?;
+            let bytes = format::encode_sorted(&Descriptor::Named(*layout), &ranks, keys)?;
+            drop(ranks);
+            let plan = keep_table.then(|| StepPlan::from_positions(index.height(), by_node));
+            MappedTree::from_image(bytes, plan)
+        }
+        LayoutSource::Fat(layout) => {
+            let ranks = rank_positions(index, None)?;
+            MappedTree::from_image(
+                format::encode_sorted(&Descriptor::Fat(*layout), &ranks, keys)?,
+                None,
+            )
+        }
+        _ => {
+            let ranks = rank_positions(index, Some(&mut by_node))?;
+            let descriptor = Descriptor::Table {
+                label,
+                positions_by_node: &by_node,
+            };
+            MappedTree::from_image(format::encode_sorted(&descriptor, &ranks, keys)?, None)
+        }
+    }
 }
 
 /// Where the layout came from — drives the descriptor kind
@@ -441,15 +429,10 @@ pub struct SearchTree<K> {
     provenance: Provenance,
     height: u32,
     key_len: u64,
-    inner: Inner<K>,
-}
-
-/// The two key disciplines an inner backend can speak: padded
-/// [`Slot`]s (in-memory backends) or raw keys (the mapped backend,
-/// which detects padding arithmetically).
-enum InnerRef<'a, K> {
-    Slots(&'a dyn SearchBackend<Slot<K>>),
-    Keys(&'a dyn SearchBackend<K>),
+    /// The storage backend, type-erased so the facade stays generic over
+    /// plain `Ord + Copy` keys (the `FixedKey` bound applies only where
+    /// an image is built, saved or opened).
+    inner: Box<dyn SearchBackend<K> + Send + Sync>,
 }
 
 impl<K: Ord + Copy> SearchTree<K> {
@@ -496,26 +479,12 @@ impl<K: Ord + Copy> SearchTree<K> {
         &self.layout_label
     }
 
-    /// The inner storage backend, in whichever key discipline it speaks.
-    fn inner(&self) -> InnerRef<'_, K> {
-        match &self.inner {
-            Inner::Explicit(t) => InnerRef::Slots(t),
-            Inner::Implicit(t) => InnerRef::Slots(t),
-            Inner::FatHeap(t) => InnerRef::Slots(t),
-            Inner::IndexOnly(t) => InnerRef::Slots(t),
-            Inner::Mapped(t) => InnerRef::Keys(t.as_ref()),
-        }
-    }
-
     /// Searches for `key`; returns the 0-based layout position of its
     /// node. Positions are identical across storage backends for the
     /// same layout and keys.
     #[inline]
     pub fn search(&self, key: K) -> Option<u64> {
-        match self.inner() {
-            InnerRef::Slots(b) => b.search(Slot::Key(key)),
-            InnerRef::Keys(b) => b.search(key),
-        }
+        self.inner.search(key)
     }
 
     /// Membership test.
@@ -528,20 +497,14 @@ impl<K: Ord + Copy> SearchTree<K> {
     /// Searches while recording every visited layout position (for cache
     /// simulation).
     pub fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        match self.inner() {
-            InnerRef::Slots(b) => b.search_traced(Slot::Key(key), visited),
-            InnerRef::Keys(b) => b.search_traced(key, visited),
-        }
+        self.inner.search_traced(key, visited)
     }
 
     /// The pre-kernel descent of the selected backend, kept as the
     /// oracle the compiled kernels are verified against.
     #[inline]
     pub fn search_reference(&self, key: K) -> Option<u64> {
-        match self.inner() {
-            InnerRef::Slots(b) => b.search_reference(Slot::Key(key)),
-            InnerRef::Keys(b) => b.search_reference(key),
-        }
+        self.inner.search_reference(key)
     }
 
     /// Searches an arbitrary-order probe batch with up to `width`
@@ -549,50 +512,16 @@ impl<K: Ord + Copy> SearchTree<K> {
     /// (see [`crate::kernel`]). `out` is cleared and filled in probe
     /// order; results are bit-identical to mapping
     /// [`SearchTree::search`].
-    ///
-    /// Probes for slot-keyed inner backends are converted chunk-wise
-    /// through a lane-sized stack buffer — never a probes-length
-    /// allocation, so the kernel's cost is what gets measured.
     pub fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
-        match self.inner() {
-            InnerRef::Slots(b) => {
-                let width = width.clamp(1, kernel::MAX_LANES);
-                out.clear();
-                out.reserve(keys.len());
-                let mut slots = [Slot::Sup(0); kernel::MAX_LANES];
-                let mut lane_out = Vec::with_capacity(kernel::MAX_LANES);
-                for chunk in keys.chunks(width) {
-                    for (slot, &k) in slots.iter_mut().zip(chunk) {
-                        *slot = Slot::Key(k);
-                    }
-                    b.search_batch_interleaved(&slots[..chunk.len()], width, &mut lane_out);
-                    out.extend_from_slice(&lane_out);
-                }
-            }
-            InnerRef::Keys(b) => b.search_batch_interleaved(keys, width, out),
-        }
+        self.inner.search_batch_interleaved(keys, width, out);
     }
 
     /// Benchmark kernel: sum of found positions, identical across
     /// storage backends. Dispatches to the selected backend's
-    /// interleaved checksum kernel (chunk-wise slot conversion, as in
-    /// [`SearchTree::search_batch_interleaved`]).
+    /// interleaved checksum kernel.
     #[must_use]
     pub fn search_batch_checksum(&self, keys: &[K]) -> u64 {
-        match self.inner() {
-            InnerRef::Slots(b) => {
-                let mut acc = 0u64;
-                let mut slots = [Slot::Sup(0); kernel::MAX_LANES];
-                for chunk in keys.chunks(kernel::DEFAULT_LANES) {
-                    for (slot, &k) in slots.iter_mut().zip(chunk) {
-                        *slot = Slot::Key(k);
-                    }
-                    acc = acc.wrapping_add(b.search_batch_checksum(&slots[..chunk.len()]));
-                }
-                acc
-            }
-            InnerRef::Keys(b) => b.search_batch_checksum(keys),
-        }
+        self.inner.search_batch_checksum(keys)
     }
 
     // ------------------------------------------------------------------
@@ -1028,12 +957,25 @@ impl<K: Ord + Copy + FixedKey> SearchTree<K> {
 
     /// The named layout and raw key region of the binary named-layout
     /// image this tree serves from (see [`SearchBackend::key_region`]);
-    /// `None` for heap storage, fat files and table-descriptor files.
+    /// `None` for explicit and index-only storage, fat images and
+    /// table-descriptor images.
     pub(crate) fn named_image(&self) -> Option<(NamedLayout, &[u8])> {
         match self.provenance {
             Provenance::Named(layout) => Some((layout, SearchBackend::key_region(self)?)),
             _ => None,
         }
+    }
+
+    /// A [`Storage::Implicit`] tree over an image scattered in memory
+    /// (the tiered engine's in-memory flush), keeping `plan` as its
+    /// descent plan — see [`MappedTree::from_image`].
+    ///
+    /// # Errors
+    /// As for [`SearchTree::open_bytes`].
+    pub(crate) fn from_image(bytes: Vec<u8>, plan: Option<StepPlan>) -> Result<Self> {
+        let mut tree = Self::from_mapped(MappedTree::from_image(bytes, plan)?);
+        tree.storage = Storage::Implicit;
+        Ok(tree)
     }
 
     fn from_mapped(mapped: MappedTree<K>) -> Self {
@@ -1048,7 +990,7 @@ impl<K: Ord + Copy + FixedKey> SearchTree<K> {
             provenance,
             height: mapped.height(),
             key_len: mapped.len(),
-            inner: Inner::Mapped(Box::new(mapped)),
+            inner: Box::new(mapped),
         }
     }
 }
@@ -1075,10 +1017,7 @@ impl<K: Ord + Copy> SearchBackend<K> for SearchTree<K> {
     }
 
     fn search_traced_kernel(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        match self.inner() {
-            InnerRef::Slots(b) => b.search_traced_kernel(Slot::Key(key), visited),
-            InnerRef::Keys(b) => b.search_traced_kernel(key, visited),
-        }
+        self.inner.search_traced_kernel(key, visited)
     }
 
     fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
@@ -1090,73 +1029,38 @@ impl<K: Ord + Copy> SearchBackend<K> for SearchTree<K> {
     }
 
     fn key_at_rank(&self, rank: u64) -> Option<K> {
-        if rank < 1 || rank > self.key_len {
-            return None;
-        }
-        match self.inner() {
-            InnerRef::Slots(b) => match b.key_at_rank(rank) {
-                Some(Slot::Key(k)) => Some(k),
-                // Ranks 1..=len hold real keys by construction.
-                _ => None,
-            },
-            InnerRef::Keys(b) => b.key_at_rank(rank),
-        }
+        self.inner.key_at_rank(rank)
     }
 
     fn position_of_rank(&self, rank: u64) -> Option<u64> {
-        // Deliberately *not* clamped to `len`: padding nodes have
-        // positions too, and traced descents must record them exactly as
-        // `search_traced` does.
-        match self.inner() {
-            InnerRef::Slots(b) => b.position_of_rank(rank),
-            InnerRef::Keys(b) => b.position_of_rank(rank),
-        }
+        self.inner.position_of_rank(rank)
     }
 
     fn key_region(&self) -> Option<&[u8]> {
-        match self.inner() {
-            InnerRef::Slots(_) => None,
-            InnerRef::Keys(b) => b.key_region(),
-        }
+        self.inner.key_region()
     }
 
     // Forwarded to the inner backend so storage-specific fast paths
     // apply (explicit storage descends by pointer instead of the
-    // generic rank walk). Ranks are storage-independent, and both
-    // padding disciplines — supremum slots in memory, rank-derived +∞
-    // in mapped files — sort above every real probe, so the inner
-    // answer is at most `len + 1` — exactly this facade's
-    // `key_count() + 1` "absent" sentinel; no clamping is needed.
+    // generic rank walk). Every inner backend pads so that padding
+    // sorts above every real probe, so its answer is at most
+    // `len + 1` — exactly this facade's `key_count() + 1` "absent"
+    // sentinel; no clamping is needed.
 
     fn lower_bound_rank(&self, key: K) -> u64 {
-        match self.inner() {
-            InnerRef::Slots(b) => b.lower_bound_rank(Slot::Key(key)),
-            InnerRef::Keys(b) => b.lower_bound_rank(key),
-        }
+        self.inner.lower_bound_rank(key)
     }
 
     fn lower_bound_rank_traced(&self, key: K, visited: &mut Vec<u64>) -> u64 {
-        match self.inner() {
-            InnerRef::Slots(b) => b.lower_bound_rank_traced(Slot::Key(key), visited),
-            InnerRef::Keys(b) => b.lower_bound_rank_traced(key, visited),
-        }
+        self.inner.lower_bound_rank_traced(key, visited)
     }
 
     fn upper_bound_rank(&self, key: K) -> u64 {
-        match self.inner() {
-            InnerRef::Slots(b) => b.upper_bound_rank(Slot::Key(key)),
-            InnerRef::Keys(b) => b.upper_bound_rank(key),
-        }
+        self.inner.upper_bound_rank(key)
     }
 
     fn search_sorted_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) -> Result<()> {
-        match self.inner() {
-            InnerRef::Slots(b) => {
-                let slots: Vec<Slot<K>> = keys.iter().map(|&k| Slot::Key(k)).collect();
-                b.search_sorted_batch(&slots, out)
-            }
-            InnerRef::Keys(b) => b.search_sorted_batch(keys, out),
-        }
+        self.inner.search_sorted_batch(keys, out)
     }
 
     fn search_sorted_batch_traced(
@@ -1165,13 +1069,7 @@ impl<K: Ord + Copy> SearchBackend<K> for SearchTree<K> {
         out: &mut Vec<Option<u64>>,
         visited: &mut Vec<u64>,
     ) -> Result<()> {
-        match self.inner() {
-            InnerRef::Slots(b) => {
-                let slots: Vec<Slot<K>> = keys.iter().map(|&k| Slot::Key(k)).collect();
-                b.search_sorted_batch_traced(&slots, out, visited)
-            }
-            InnerRef::Keys(b) => b.search_sorted_batch_traced(keys, out, visited),
-        }
+        self.inner.search_sorted_batch_traced(keys, out, visited)
     }
 }
 
@@ -1425,8 +1323,8 @@ mod tests {
 
     #[test]
     fn padding_never_matches_probes() {
-        // 5 keys pad a height-3 tree with two suprema; no probe may land
-        // on a padding slot.
+        // 5 keys pad a height-3 tree with two padding slots; no probe
+        // may land on one.
         let t = SearchTree::builder()
             .storage(Storage::Implicit)
             .keys([10u64, 20, 30, 40, 50])

@@ -79,7 +79,6 @@ pub fn shard_file_name(slot: usize) -> String {
 fn assert_read_path_is_shareable() {
     fn shareable<T: Send + Sync>() {}
     shareable::<crate::explicit::ExplicitTree<u64>>();
-    shareable::<crate::implicit::ImplicitTree<u64>>();
     shareable::<crate::index_only::IndexOnlyTree<u64>>();
     shareable::<crate::mapped::MappedTree<u64>>();
     shareable::<SearchTree<u64>>();
@@ -216,7 +215,9 @@ impl<K: Ord + Copy> ForestBuilder<K> {
         self.keys = keys.into_iter().collect();
         self
     }
+}
 
+impl<K: FixedKey> ForestBuilder<K> {
     /// Validates the configuration, range-partitions the keys and
     /// builds one [`SearchTree`] per non-empty slot.
     ///

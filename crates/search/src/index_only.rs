@@ -6,11 +6,12 @@
 //! the *in-order* key array — no layout-ordered storage exists at all —
 //! and the position index is consulted only to *report* layout
 //! positions, so results stay interchangeable with the other backends.
-//! When the keys really are `1..=n`, [`crate::IndexOnlySearcher`]
-//! remains the memory-access-free instrument the paper times.
+//! When the keys really are `1..=n`, [`IndexOnlySearcher`] is the
+//! memory-access-free instrument the paper times.
 
 use crate::backend::SearchBackend;
 use crate::kernel::{self, PosRef, RankPlane};
+use crate::slot::{padded_slots, Padded, Slot};
 use cobtree_core::error::{check_sorted_keys, Error, Result};
 use cobtree_core::index::{PositionIndex, StepPlan};
 use cobtree_core::Tree;
@@ -176,6 +177,19 @@ impl<K> std::fmt::Debug for IndexOnlyTree<K> {
     }
 }
 
+/// The [`crate::SearchTree`] facade's index-only backend: `keys` padded
+/// with suprema to the complete tree `index` describes.
+pub(crate) fn build_padded<K: Ord + Copy>(
+    index: Box<dyn PositionIndex>,
+    keys: &[K],
+) -> Result<Padded<IndexOnlyTree<Slot<K>>>> {
+    let slots = padded_slots(keys, index.height());
+    Ok(Padded::new(
+        IndexOnlyTree::try_build(index, &slots)?,
+        keys.len() as u64,
+    ))
+}
+
 impl<K: Ord + Copy> SearchBackend<K> for IndexOnlyTree<K> {
     fn height(&self) -> u32 {
         self.tree.height()
@@ -219,11 +233,69 @@ impl<K: Ord + Copy> SearchBackend<K> for IndexOnlyTree<K> {
     }
 }
 
+/// Times pure index computation: keys are the in-order ranks `1..=n`, so
+/// comparisons need no memory at all (§IV-E footnote 1). Every transition
+/// still performs the full position computation, whose result is folded
+/// into a checksum the optimizer cannot discard.
+pub struct IndexOnlySearcher<'a> {
+    tree: Tree,
+    index: &'a dyn PositionIndex,
+}
+
+impl<'a> IndexOnlySearcher<'a> {
+    /// Creates a searcher over the arithmetic layout `index`.
+    #[must_use]
+    pub fn new(index: &'a dyn PositionIndex) -> Self {
+        Self {
+            tree: Tree::new(index.height()),
+            index,
+        }
+    }
+
+    /// "Searches" for in-order rank `key ∈ 1..=n`, computing the layout
+    /// position of every node on the path; returns the sum of positions.
+    #[inline]
+    pub fn search(&self, key: u64) -> u64 {
+        let h = self.tree.height();
+        let mut i = 1u64;
+        let mut acc = 0u64;
+        for d in 0..h {
+            acc = acc.wrapping_add(self.index.position(i, d));
+            let k = self.tree.in_order_rank(i);
+            match key.cmp(&k) {
+                std::cmp::Ordering::Equal => break,
+                std::cmp::Ordering::Less => i *= 2,
+                std::cmp::Ordering::Greater => i = 2 * i + 1,
+            }
+        }
+        acc
+    }
+
+    /// Checksum over a batch of keys.
+    #[must_use]
+    pub fn search_batch_checksum(&self, keys: &[u64]) -> u64 {
+        let mut acc = 0u64;
+        for &k in keys {
+            acc = acc.wrapping_add(self.search(k));
+        }
+        acc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::implicit::ImplicitTree;
+    use crate::facade::{SearchTree, Storage};
     use cobtree_core::NamedLayout;
+
+    fn implicit(layout: NamedLayout, keys: &[u64]) -> SearchTree<u64> {
+        SearchTree::builder()
+            .layout(layout)
+            .storage(Storage::Implicit)
+            .keys(keys.iter().copied())
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn agrees_with_implicit_backend_on_positions() {
@@ -235,7 +307,7 @@ mod tests {
             let h = 8;
             let keys: Vec<u64> = (1..=(1u64 << h) - 1).map(|k| k * 5 + 1).collect();
             let io = IndexOnlyTree::build(layout.indexer(h), &keys);
-            let it = ImplicitTree::build(layout.indexer(h), &keys);
+            let it = implicit(layout, &keys);
             for probe in 0..=keys.len() as u64 * 5 + 2 {
                 assert_eq!(io.search(probe), it.search(probe), "{layout} probe {probe}");
             }
@@ -247,7 +319,7 @@ mod tests {
         let h = 7;
         let keys: Vec<u64> = (1..=(1u64 << h) - 1).collect();
         let io = IndexOnlyTree::build(NamedLayout::HalfWep.indexer(h), &keys);
-        let it = ImplicitTree::build(NamedLayout::HalfWep.indexer(h), &keys);
+        let it = implicit(NamedLayout::HalfWep, &keys);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for key in [1u64, 33, 64, 127] {
             a.clear();
@@ -270,5 +342,33 @@ mod tests {
             IndexOnlyTree::try_build(idx, &[1u64, 2]).unwrap_err(),
             Error::KeyCountMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn index_only_searcher_visits_the_right_path() {
+        let layout = NamedLayout::MinWep;
+        let h = 7;
+        let idx = layout.indexer(h);
+        let s = IndexOnlySearcher::new(idx.as_ref());
+        let tree = Tree::new(h);
+        for key in 1..=tree.len() {
+            let expect: u64 = tree
+                .search_path(key)
+                .iter()
+                .map(|&i| idx.position(i, tree.depth(i)))
+                .sum();
+            assert_eq!(s.search(key), expect, "key {key}");
+        }
+    }
+
+    #[test]
+    fn checksums_deterministic() {
+        let idx = NamedLayout::HalfWep.indexer(8);
+        let s = IndexOnlySearcher::new(idx.as_ref());
+        let keys: Vec<u64> = (1..=255).collect();
+        assert_eq!(
+            s.search_batch_checksum(&keys),
+            s.search_batch_checksum(&keys)
+        );
     }
 }

@@ -38,10 +38,11 @@
 //!   slot as soon as its branch-free step resolves it — which costs no
 //!   extra position arithmetic at all, so it is on for every plan.
 //!
-//! Three key-storage disciplines are covered by [`DescentPlane`]
-//! implementations: layout-ordered key arrays ([`ArrayPlane`], the
-//! implicit backend), rank-ordered key arrays ([`RankPlane`], the
-//! index-only backend) and raw mapped file bytes ([`MappedPlane`]).
+//! Two key-storage disciplines are covered by [`DescentPlane`]
+//! implementations: the layout-ordered key region of a `.cobt` image
+//! ([`MappedPlane`] — built in memory for `Storage::Implicit`, or
+//! mapped from a file) and rank-ordered key arrays ([`RankPlane`], the
+//! index-only backend). Fat-node images descend on [`FatPlane`].
 //! The explicit (pointer-based) backend has no position computation to
 //! devirtualize; it gets dedicated pointer kernels
 //! ([`explicit_search`], [`explicit_fold_interleaved`]) that apply the
@@ -135,12 +136,12 @@ impl PosRef<'_> {
 
 /// What a descent kernel needs from a backend. The central concept is
 /// the **key locator**: the storage coordinate a key load uses — the
-/// layout position for layout-ordered storage ([`ArrayPlane`],
-/// [`MappedPlane`]), the 0-based in-order rank for rank-ordered storage
-/// ([`RankPlane`]). Kernels compute each level's locator exactly once,
-/// prefetch it, and reuse it for the load. Implementations are
-/// monomorphized into the kernels — no virtual calls on the hot path
-/// (except through an explicit [`PosRef::Index`] fallback).
+/// layout position for layout-ordered storage ([`MappedPlane`]), the
+/// 0-based in-order rank for rank-ordered storage ([`RankPlane`]).
+/// Kernels compute each level's locator exactly once, prefetch it, and
+/// reuse it for the load. Implementations are monomorphized into the
+/// kernels — no virtual calls on the hot path (except through an
+/// explicit [`PosRef::Index`] fallback).
 pub trait DescentPlane {
     /// Key type compared during the descent.
     type Key: Copy + Ord;
@@ -157,10 +158,11 @@ pub trait DescentPlane {
     /// `false`.
     fn key_at(&self, loc: u64) -> Self::Key;
 
-    /// `false` when `node` is a padding slot that must compare as `+∞`.
+    /// `false` when `node` (at `depth`) is a padding slot that must
+    /// compare as `+∞`.
     #[inline]
-    fn is_real(&self, node: u64) -> bool {
-        let _ = node;
+    fn is_real(&self, node: u64, depth: u32) -> bool {
+        let _ = (node, depth);
         true
     }
 
@@ -192,68 +194,6 @@ pub trait DescentPlane {
     #[inline]
     fn speculate_children(&self) -> bool {
         false
-    }
-}
-
-/// Keys stored in layout order (the implicit backend): the locator is
-/// the layout position; one position computation and one array load per
-/// visited node.
-pub struct ArrayPlane<'a, K> {
-    keys: &'a [K],
-    pos: PosRef<'a>,
-    height: u32,
-}
-
-impl<'a, K: Copy + Ord> ArrayPlane<'a, K> {
-    /// Plane over `keys` in layout order, positions from `pos`.
-    #[must_use]
-    pub fn new(keys: &'a [K], pos: PosRef<'a>, height: u32) -> Self {
-        Self { keys, pos, height }
-    }
-}
-
-impl<K: Copy + Ord> DescentPlane for ArrayPlane<'_, K> {
-    type Key = K;
-
-    #[inline]
-    fn height(&self) -> u32 {
-        self.height
-    }
-
-    #[inline]
-    fn locate(&self, node: u64, depth: u32) -> u64 {
-        self.pos.at(node, depth)
-    }
-
-    #[inline]
-    fn key_at(&self, loc: u64) -> K {
-        self.keys[loc as usize]
-    }
-
-    #[inline]
-    fn position(&self, node: u64, depth: u32) -> u64 {
-        self.pos.at(node, depth)
-    }
-
-    #[inline]
-    fn result_position(&self, loc: u64) -> u64 {
-        loc
-    }
-
-    #[inline]
-    fn locator_is_position(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn prefetch_loc(&self, loc: u64) {
-        // SAFETY: positions of valid nodes index the key array.
-        prefetch_read(unsafe { self.keys.as_ptr().add(loc as usize) });
-    }
-
-    #[inline]
-    fn speculate_children(&self) -> bool {
-        self.pos.prefetch_is_cheap()
     }
 }
 
@@ -332,15 +272,20 @@ impl<K: Copy + Ord> DescentPlane for RankPlane<'_, K> {
     }
 }
 
-/// Keys read from the raw bytes of a mapped tree file. Padding is
-/// detected arithmetically (in-order rank beyond the stored key count),
-/// exactly as the mapped slow path does — padding slots' bytes are
-/// loadable (the writer zeroes them) but never influence the descent.
+/// Keys read from the raw key region of a `.cobt` image (built in
+/// memory or mapped from a file). Padding is detected arithmetically
+/// (in-order rank beyond the stored key count), exactly as the image
+/// slow path does — padding slots' bytes are loadable (the writer
+/// zeroes them) but never influence the descent.
 pub struct MappedPlane<'a, K> {
     key_bytes: &'a [u8],
     pos: PosRef<'a>,
     height: u32,
-    stored: u64,
+    /// `stored + 2^h`: node `i` at depth `d` has in-order rank
+    /// `(2i + 1)·2^{h−d−1} − 2^h`, so it is real exactly when
+    /// `(2i + 1)·2^{h−d−1}` is at most this — one shift per level,
+    /// by a count every interleaved lane shares.
+    real_limit: u64,
     _keys: std::marker::PhantomData<fn() -> K>,
 }
 
@@ -353,7 +298,7 @@ impl<'a, K: FixedKey> MappedPlane<'a, K> {
             key_bytes,
             pos,
             height,
-            stored,
+            real_limit: stored + (1u64 << height),
             _keys: std::marker::PhantomData,
         }
     }
@@ -379,8 +324,8 @@ impl<K: FixedKey> DescentPlane for MappedPlane<'_, K> {
     }
 
     #[inline]
-    fn is_real(&self, node: u64) -> bool {
-        in_order_rank(self.height, node) <= self.stored
+    fn is_real(&self, node: u64, depth: u32) -> bool {
+        ((node << 1) | 1) << (self.height - depth - 1) <= self.real_limit
     }
 
     #[inline]
@@ -429,7 +374,7 @@ pub fn search<P: DescentPlane>(plane: &P, probe: P::Key) -> Option<u64> {
     let mut cand_key = probe; // only read once `cand_loc != NO_CAND`
     for d in 0..h {
         let k = plane.key_at(loc);
-        let real = plane.is_real(i);
+        let real = plane.is_real(i, d);
         let go_right = real && probe > k;
         if real && !go_right {
             cand_loc = loc;
@@ -481,7 +426,7 @@ pub fn search_traced<P: DescentPlane>(
             plane.position(i, d)
         });
         let k = plane.key_at(loc);
-        let real = plane.is_real(i);
+        let real = plane.is_real(i, d);
         let go_right = real && probe > k;
         if real && !go_right {
             cand_loc = loc;
@@ -511,7 +456,7 @@ pub fn bound_rank<P: DescentPlane, const UPPER: bool>(plane: &P, probe: P::Key) 
     let mut loc = plane.locate(1, 0);
     for d in 0..h {
         let k = plane.key_at(loc);
-        let real = plane.is_real(i);
+        let real = plane.is_real(i, d);
         let go_right = real && if UPPER { probe >= k } else { probe > k };
         let next = (i << 1) | u64::from(go_right);
         if d + 1 < h {
@@ -563,7 +508,7 @@ pub fn fold_interleaved<P: DescentPlane>(
             for (l, &probe) in chunk.iter().enumerate() {
                 let i = node[l];
                 let k = plane.key_at(loc[l]);
-                let real = plane.is_real(i);
+                let real = plane.is_real(i, d);
                 let go_right = real && probe > k;
                 if real && !go_right {
                     cand_loc[l] = loc[l];
@@ -755,44 +700,59 @@ pub fn explicit_batch_checksum<K: Copy + Ord>(
 // Fat-node (B-ary) kernels
 // ---------------------------------------------------------------------------
 
-/// What the fat descent kernels need from a backend serving a B-ary
-/// fat-node layout (`cobtree_core::fat`). The unit of work is the
-/// **chunk**: `2^span` slots holding the chunk's keys in local in-order
-/// order, real keys first ([`FatIndex::chunk_real_count`]). One
+/// The fat descent kernels' view of a B-ary fat-node key region
+/// (`cobtree_core::fat`): raw little-endian key bytes in chunk order.
+/// The unit of work is the **chunk**: `2^span` slots holding the
+/// chunk's keys in local in-order order, real keys first
+/// ([`FatIndex::chunk_real_count`]). Padding slot bytes are zeros and
+/// are masked off by the real-key count, never compared. One
 /// rank-of-key over the live prefix replaces `span` binary compares —
 /// and is where the SIMD compare+movemask kernel plugs in
 /// ([`byte_rank_in_chunk`]).
-pub trait FatPlane {
-    /// Key type compared during the descent.
-    type Key: Copy + Ord;
+pub struct FatPlane<'a, K> {
+    index: &'a FatIndex,
+    bytes: &'a [u8],
+    key_count: u64,
+    _keys: std::marker::PhantomData<fn() -> K>,
+}
 
-    /// The layout's position arithmetic.
-    fn fat_index(&self) -> &FatIndex;
+impl<'a, K: FixedKey> FatPlane<'a, K> {
+    /// Plane over a fat image's key region (`bytes`) holding
+    /// `key_count` real keys.
+    #[must_use]
+    pub fn new(index: &'a FatIndex, bytes: &'a [u8], key_count: u64) -> Self {
+        Self {
+            index,
+            bytes,
+            key_count,
+            _keys: std::marker::PhantomData,
+        }
+    }
 
     /// Number of comparable slots at the front of chunk
-    /// `(fat_depth, t)` — the rest are padding or structural holes and
-    /// must compare as `+∞` (heap planes store explicit suprema and
-    /// report the full `2^span − 1`; mapped planes report the real-key
-    /// prefix length).
-    fn live_count(&self, fat_depth: u32, t: u64) -> u32;
+    /// `(fat_depth, t)`; the rest compare as `+∞`.
+    #[inline]
+    fn live_count(&self, fat_depth: u32, t: u64) -> u32 {
+        self.index.chunk_real_count(fat_depth, t, self.key_count)
+    }
 
     /// Rank-of-key in the chunk starting at slot `base`: the number of
     /// live keys `< probe` (`<= probe` when `upper`), plus the slot
     /// index (0-based, chunk-local) of the key equal to `probe` if one
     /// exists. Live keys are strictly ascending, so the count *is* the
     /// exit gap and at most one slot can be equal.
-    fn rank_in_chunk(
-        &self,
-        base: u64,
-        live: u32,
-        probe: Self::Key,
-        upper: bool,
-    ) -> (u32, Option<u32>);
+    #[inline]
+    fn rank_in_chunk(&self, base: u64, live: u32, probe: K, upper: bool) -> (u32, Option<u32>) {
+        byte_rank_in_chunk::<K>(self.bytes, base, self.index.stride(), live, probe, upper)
+    }
 
     /// Issues a prefetch for the storage behind chunk slot `base`.
     #[inline]
     fn prefetch_chunk(&self, base: u64) {
-        let _ = base;
+        let off = base as usize * K::WIDTH;
+        if off < self.bytes.len() {
+            prefetch_read(&self.bytes[off]);
+        }
     }
 }
 
@@ -802,8 +762,8 @@ pub trait FatPlane {
 /// holding `probe` — identical to the binary slow descent over the same
 /// fat positions.
 #[inline]
-pub fn fat_search<P: FatPlane>(plane: &P, probe: P::Key) -> Option<u64> {
-    let ix = plane.fat_index();
+pub fn fat_search<K: FixedKey>(plane: &FatPlane<'_, K>, probe: K) -> Option<u64> {
+    let ix = plane.index;
     let stride = ix.stride();
     let mut t = 0u64;
     for fat_depth in 0..ix.fat_levels() {
@@ -822,12 +782,12 @@ pub fn fat_search<P: FatPlane>(plane: &P, probe: P::Key) -> Option<u64> {
 /// whole chunk is the load unit — a rank-of-key touches all of it, so
 /// cache replay must charge all of it). On a hit the trace ends with
 /// the matching chunk.
-pub fn fat_search_traced<P: FatPlane>(
-    plane: &P,
-    probe: P::Key,
+pub fn fat_search_traced<K: FixedKey>(
+    plane: &FatPlane<'_, K>,
+    probe: K,
     visited: &mut Vec<u64>,
 ) -> Option<u64> {
-    let ix = plane.fat_index();
+    let ix = plane.index;
     let stride = ix.stride();
     visited.reserve((ix.fat_levels() as u64 * stride) as usize);
     let mut t = 0u64;
@@ -852,8 +812,8 @@ pub fn fat_search_traced<P: FatPlane>(
 /// per-chunk exit gap equals the number of left/right binary turns
 /// through the chunk.
 #[inline]
-pub fn fat_bound_rank<P: FatPlane, const UPPER: bool>(plane: &P, probe: P::Key) -> u64 {
-    let ix = plane.fat_index();
+pub fn fat_bound_rank<K: FixedKey, const UPPER: bool>(plane: &FatPlane<'_, K>, probe: K) -> u64 {
+    let ix = plane.index;
     let stride = ix.stride();
     let mut t = 0u64;
     for fat_depth in 0..ix.fat_levels() {
@@ -878,13 +838,13 @@ pub fn fat_bound_rank<P: FatPlane, const UPPER: bool>(plane: &P, probe: P::Key) 
 /// loads overlap. `emit` receives `(probe index, result)` in input
 /// order; results are bit-identical to per-probe [`fat_search`].
 #[inline]
-pub fn fat_fold_interleaved<P: FatPlane>(
-    plane: &P,
-    probes: &[P::Key],
+pub fn fat_fold_interleaved<K: FixedKey>(
+    plane: &FatPlane<'_, K>,
+    probes: &[K],
     width: usize,
     mut emit: impl FnMut(usize, Option<u64>),
 ) {
-    let ix = plane.fat_index();
+    let ix = plane.index;
     let stride = ix.stride();
     let levels = ix.fat_levels();
     let width = width.clamp(1, MAX_LANES);
@@ -922,9 +882,9 @@ pub fn fat_fold_interleaved<P: FatPlane>(
 }
 
 /// [`fat_fold_interleaved`] collecting results (input order) into `out`.
-pub fn fat_search_batch_interleaved<P: FatPlane>(
-    plane: &P,
-    probes: &[P::Key],
+pub fn fat_search_batch_interleaved<K: FixedKey>(
+    plane: &FatPlane<'_, K>,
+    probes: &[K],
     width: usize,
     out: &mut Vec<Option<u64>>,
 ) {
@@ -934,9 +894,9 @@ pub fn fat_search_batch_interleaved<P: FatPlane>(
 }
 
 /// [`fat_fold_interleaved`] folding the wrapping sum of found positions
-/// — the fat backends' arm of `search_batch_checksum`.
+/// — the fat images' arm of `search_batch_checksum`.
 #[must_use]
-pub fn fat_batch_checksum<P: FatPlane>(plane: &P, probes: &[P::Key], width: usize) -> u64 {
+pub fn fat_batch_checksum<K: FixedKey>(plane: &FatPlane<'_, K>, probes: &[K], width: usize) -> u64 {
     let mut acc = 0u64;
     fat_fold_interleaved(plane, probes, width, |_, r| {
         if let Some(p) = r {
@@ -1172,23 +1132,29 @@ pub fn byte_rank_in_chunk<K: FixedKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobtree_core::index::rank_positions;
     use cobtree_core::NamedLayout;
 
-    fn plane_for(layout: NamedLayout, h: u32) -> (Vec<u64>, StepPlan) {
+    /// A complete height-`h` key region (keys `3, 6, …`) in `layout`'s
+    /// order, as little-endian bytes, with its plan.
+    fn plane_for(layout: NamedLayout, h: u32) -> (Vec<u8>, StepPlan) {
         let n = (1u64 << h) - 1;
-        let idx = layout.indexer(h);
-        let plan = layout
-            .compile_plan(h)
-            .or_else(|| StepPlan::table_from_index(idx.as_ref()))
-            .expect("plan");
+        let plan = layout.compile_plan(h).unwrap_or_else(|| {
+            let mut by_node = Vec::new();
+            rank_positions(layout.indexer(h).as_ref(), Some(&mut by_node)).expect("height");
+            StepPlan::from_positions(h, by_node)
+        });
         let tree = cobtree_core::Tree::new(h);
-        let keys: Vec<u64> = (1..=n).map(|k| k * 3).collect();
-        let mut arranged = vec![0u64; n as usize];
+        let mut bytes = vec![0u8; n as usize * 8];
         for i in tree.nodes() {
-            arranged[plan.position(i, tree.depth(i)) as usize] =
-                keys[(tree.in_order_rank(i) - 1) as usize];
+            let off = plan.position(i, tree.depth(i)) as usize * 8;
+            (tree.in_order_rank(i) * 3).write_le(&mut bytes[off..]);
         }
-        (arranged, plan)
+        (bytes, plan)
+    }
+
+    fn key_at(bytes: &[u8], p: u64) -> u64 {
+        u64::read_le(&bytes[p as usize * 8..])
     }
 
     #[test]
@@ -1196,10 +1162,11 @@ mod tests {
         for layout in NamedLayout::ALL {
             let h = 7;
             let (keys, plan) = plane_for(layout, h);
-            let plane = ArrayPlane::new(&keys, PosRef::Plan(&plan), h);
-            for r in 1..=(1u64 << h) - 1 {
+            let n = (1u64 << h) - 1;
+            let plane = MappedPlane::<u64>::new(&keys, PosRef::Plan(&plan), h, n);
+            for r in 1..=n {
                 let p = search(&plane, r * 3).expect("present");
-                assert_eq!(keys[p as usize], r * 3, "{layout} rank {r}");
+                assert_eq!(key_at(&keys, p), r * 3, "{layout} rank {r}");
                 assert_eq!(search(&plane, r * 3 - 1), None);
             }
         }
@@ -1209,7 +1176,7 @@ mod tests {
     fn interleaved_matches_scalar_at_every_width() {
         let h = 6;
         let (keys, plan) = plane_for(NamedLayout::MinWep, h);
-        let plane = ArrayPlane::new(&keys, PosRef::Plan(&plan), h);
+        let plane = MappedPlane::<u64>::new(&keys, PosRef::Plan(&plan), h, (1 << h) - 1);
         let probes: Vec<u64> = (0..200u64).collect();
         let scalar: Vec<Option<u64>> = probes.iter().map(|&p| search(&plane, p)).collect();
         for width in [1usize, 2, 3, 5, 8, 16, 64] {
@@ -1230,7 +1197,7 @@ mod tests {
     fn checksum_equals_sum_of_scalar_hits() {
         let h = 8;
         let (keys, plan) = plane_for(NamedLayout::PreVeb, h);
-        let plane = ArrayPlane::new(&keys, PosRef::Plan(&plan), h);
+        let plane = MappedPlane::<u64>::new(&keys, PosRef::Plan(&plan), h, (1 << h) - 1);
         let probes: Vec<u64> = (0..1000u64).map(|k| k * 7 % 800).collect();
         let expect = probes
             .iter()
@@ -1244,7 +1211,7 @@ mod tests {
     fn bound_rank_matches_partition_point() {
         let h = 6;
         let (keys, plan) = plane_for(NamedLayout::InVeb, h);
-        let plane = ArrayPlane::new(&keys, PosRef::Plan(&plan), h);
+        let plane = MappedPlane::<u64>::new(&keys, PosRef::Plan(&plan), h, (1 << h) - 1);
         let sorted: Vec<u64> = (1..=(1u64 << h) - 1).map(|k| k * 3).collect();
         for probe in 0..=200u64 {
             let lb = sorted.partition_point(|&k| k < probe) as u64 + 1;

@@ -19,15 +19,20 @@
 //!   two child positions, laid out in an arbitrary layout order; a search
 //!   follows positions with no index arithmetic (Figure 2 / Figure 4
 //!   "explicit search time");
-//! * [`implicit`] — *pointer-less* trees: only keys are stored, in layout
-//!   order; every transition recomputes the child's position via
-//!   [`cobtree_core::index::PositionIndex`] (Figure 4 "implicit search"),
-//!   including the memory-access-free variant used to time pure index
-//!   computation (keys `1..=n` inferred from the BFS index, §IV-E
-//!   footnote 1);
+//! * [`mapped`] — *pointer-less* trees as one key plane: a `.cobt`
+//!   image (`docs/FORMAT.md`) whose key region holds the keys in layout
+//!   order, every transition recomputing the child's position (Figure 4
+//!   "implicit search"). [`MappedTree`] serves `Storage::Implicit`
+//!   trees — images the builder scatters into an owned buffer, keeping
+//!   the position table its build pass records as the descent plan —
+//!   and `Storage::Mapped` trees opened zero-copy from saved files
+//!   (`SearchTree::write_file`/`open`); the two differ only in where
+//!   the bytes live and whether a table plan is kept;
 //! * [`index_only`] — keys in plain sorted order, layout positions
 //!   computed on demand (the §IV-E discipline generalized to arbitrary
-//!   keys);
+//!   keys), plus [`IndexOnlySearcher`], the memory-access-free variant
+//!   used to time pure index computation (keys `1..=n` inferred from
+//!   the BFS index, §IV-E footnote 1);
 //! * [`kernel`] — the *compiled descent kernels* every backend's hot
 //!   path dispatches into: devirtualized per-layout
 //!   [`cobtree_core::index::StepPlan`]s, branch-free descent with the
@@ -35,10 +40,6 @@
 //!   candidate children, and an interleaved multi-query kernel that
 //!   keeps up to 16 lookups in flight (the original per-level loops
 //!   remain as `search_reference`, the verification oracle);
-//! * [`mapped`] — the *serving* backend: [`mapped::MappedTree`] answers
-//!   the full ordered surface zero-copy from the bytes of a saved tree
-//!   file (`SearchTree::save`/`open`, format spec in `docs/FORMAT.md`),
-//!   memory-mapped so the byte order on storage *is* the layout order;
 //! * [`adaptive`] — the *adaptive serving engine*:
 //!   [`adaptive::AdaptiveForest`] wraps a forest behind an atomically
 //!   swappable handle so the traffic-adaptive layout loop can publish
@@ -51,8 +52,6 @@
 //!   stitched cursors/ranges, split-and-dispatch sorted batches), fans
 //!   reads out over scoped threads (`par_search_batch`/`par_range`),
 //!   and saves/opens as one `.cobt` file per shard plus a manifest;
-//! * [`stepping`] — the incremental [`stepping::SteppingTree`] descent
-//!   optimization this reproduction adds on top of the paper;
 //! * [`tiered`] — the *write path*: [`TieredForest`] layers an
 //!   LSM-style memtable (sorted inserts + tombstones) over an immutable
 //!   `Forest` base, keeps the full ordered surface rank-correct across
@@ -71,15 +70,12 @@ pub mod backend;
 pub mod cursor;
 pub mod explicit;
 pub mod facade;
-pub mod fat;
 pub mod forest;
-pub mod implicit;
 pub mod index_only;
 pub mod kernel;
 pub mod map;
 pub mod mapped;
 pub(crate) mod slot;
-pub mod stepping;
 pub mod tiered;
 pub mod trace;
 pub mod workload;
@@ -92,15 +88,12 @@ pub use facade::{
     read_weight_sidecar, DescriptorKind, LayoutSource, SaveOptions, SearchTree, SearchTreeBuilder,
     Storage,
 };
-pub use fat::FatHeapTree;
 pub use forest::{
     Forest, ForestBuilder, ForestCursor, ForestHit, ForestRange, ScrubReport, ShardRouter,
 };
-pub use implicit::{ImplicitTree, IndexOnlySearcher};
-pub use index_only::IndexOnlyTree;
+pub use index_only::{IndexOnlySearcher, IndexOnlyTree};
 pub use map::LayoutMap;
 pub use mapped::MappedTree;
-pub use stepping::SteppingTree;
 pub use tiered::{
     TierPlace, TieredBuilder, TieredConfig, TieredCursor, TieredForest, TieredHit, TieredRange,
     TieredSnapshot,

@@ -1,32 +1,34 @@
-//! The mapped storage backend: a [`SearchBackend`] served directly from
-//! the bytes of a saved tree file — zero deserialization.
+//! The image backend: a [`SearchBackend`] served directly from the
+//! bytes of a `.cobt` tree image — zero deserialization.
 //!
 //! This is the serving model the paper's layouts exist for: a
 //! hierarchical layout is a *static artifact*, computed once, whose
 //! payoff arrives when the byte order on the storage medium **is** the
 //! layout order (Demaine et al. make the same point for external
-//! memory). [`MappedTree`] closes that loop — it opens a file written
-//! in the [`cobtree_core::format`] container and navigates it in place:
+//! memory). [`MappedTree`] navigates an image in the
+//! [`cobtree_core::format`] container in place:
 //!
-//! * the descent reads keys straight out of the mapped key region at
+//! * the descent reads keys straight out of the key region at
 //!   `key_region + position × key_width`;
-//! * positions come from the file's layout descriptor — rebuilt
+//! * positions come from the image's layout descriptor — rebuilt
 //!   arithmetic indexer for named layouts, or little-endian `u32` reads
-//!   from the mapped index region for materialized ones;
+//!   from the index region for materialized ones;
 //! * padding slots are detected arithmetically (in-order rank beyond
-//!   the stored key count compares as `+∞`), so the file needs no
+//!   the stored key count compares as `+∞`), so the image needs no
 //!   sentinel values.
+//!
+//! It is the one key plane of the crate: `Storage::Mapped` trees serve
+//! a saved file (memory-mapped, or read into an owned buffer), and
+//! `Storage::Implicit` trees serve an image the builder scattered into
+//! an owned buffer (`MappedTree::from_image`). The two differ only in
+//! where the bytes live and in whether the node → position table of
+//! the build pass is kept as the descent plan.
 //!
 //! Because the backend implements the full [`SearchBackend`] contract,
 //! every cursor, range scan, rank/select query and sorted-batch search
-//! from the ordered-map API works over a file verbatim — and visits
-//! exactly the positions the in-memory backends visit, so cache-replay
+//! from the ordered-map API works over an image verbatim — and visits
+//! exactly the positions the other backends visit, so cache-replay
 //! results and `search_batch_checksum`s are identical across storage.
-//!
-//! The bytes behind the tree come from either a real `mmap(2)` (via the
-//! `memmap2` shim — see `shims/README.md`) or an owned buffer
-//! ([`MappedTree::read`] / [`MappedTree::from_bytes`]); validation and
-//! navigation are oblivious to which.
 
 use crate::backend::SearchBackend;
 use crate::kernel::{self, FatPlane, MappedPlane, PosRef};
@@ -56,7 +58,7 @@ impl Region {
     }
 }
 
-/// A search tree served from the raw bytes of a saved `.cobt` file.
+/// A search tree served from the raw bytes of a `.cobt` image.
 ///
 /// Construction fully validates the container (magic, version,
 /// checksums, shape, permutation) and then never copies: searches read
@@ -86,9 +88,11 @@ pub struct MappedTree<K> {
     /// table files (positions read from the mapped index region).
     arithmetic: Option<Box<dyn PositionIndex>>,
     /// Compiled descent plan for named-layout files whose arithmetic
-    /// compiles (see [`cobtree_core::index::StepPlan`]). Deliberately
-    /// *not* a materialized table: open stays zero-copy — table files
-    /// read positions from the mapped index region instead.
+    /// compiles (see [`cobtree_core::index::StepPlan`]). Opened files
+    /// never materialize a table — open stays zero-copy, and table
+    /// files read positions from the index region instead; images
+    /// built in memory keep the node → position table their build pass
+    /// recorded ([`MappedTree::from_image`]).
     plan: Option<StepPlan>,
     /// The named layout, when the file carries one (drives re-save).
     named: Option<NamedLayout>,
@@ -99,42 +103,14 @@ pub struct MappedTree<K> {
     _keys: PhantomData<fn() -> K>,
 }
 
-/// The fat kernels' view of a mapped fat-node file: raw little-endian
-/// key bytes in chunk order, padding masked by real-key count (padding
-/// slot *bytes* are zeros in the file and must never be compared —
-/// unlike the heap plane's explicit suprema).
-struct FatBytesPlane<'a, K> {
-    index: &'a FatIndex,
-    bytes: &'a [u8],
-    key_count: u64,
-    _keys: PhantomData<fn() -> K>,
-}
-
-impl<K: FixedKey> FatPlane for FatBytesPlane<'_, K> {
-    type Key = K;
-
-    #[inline]
-    fn fat_index(&self) -> &FatIndex {
-        self.index
-    }
-
-    #[inline]
-    fn live_count(&self, fat_depth: u32, t: u64) -> u32 {
-        self.index.chunk_real_count(fat_depth, t, self.key_count)
-    }
-
-    #[inline]
-    fn rank_in_chunk(&self, base: u64, live: u32, probe: K, upper: bool) -> (u32, Option<u32>) {
-        kernel::byte_rank_in_chunk::<K>(self.bytes, base, self.index.stride(), live, probe, upper)
-    }
-
-    #[inline]
-    fn prefetch_chunk(&self, base: u64) {
-        let off = base as usize * K::WIDTH;
-        if off < self.bytes.len() {
-            kernel::prefetch_read(&self.bytes[off]);
-        }
-    }
+/// Whether an image built in memory keeps the node → position table of
+/// its build pass as its descent plan, given the layout's own compiled
+/// `plan`: yes unless that plan is already cheap per level (closed-form
+/// terms or a table). The WEP family's data-dependent loops and the
+/// plan-less generic layouts run the interleaved kernel at about half
+/// speed without one.
+pub(crate) fn wants_table_plan(plan: Option<&StepPlan>) -> bool {
+    !plan.is_some_and(StepPlan::prefetch_is_cheap)
 }
 
 impl<K: FixedKey> MappedTree<K> {
@@ -189,6 +165,21 @@ impl<K: FixedKey> MappedTree<K> {
     /// As for [`MappedTree::open`], minus the I/O cases.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
         Self::from_region(Region::Owned(bytes))
+    }
+
+    /// Serves an image built in memory (`Storage::Implicit`), keeping
+    /// `plan` — the node → position table its build pass recorded — in
+    /// place of the descriptor's own plan. Files opened from disk stay
+    /// zero-copy and never carry one.
+    ///
+    /// # Errors
+    /// As for [`MappedTree::from_bytes`].
+    pub(crate) fn from_image(bytes: Vec<u8>, plan: Option<StepPlan>) -> Result<Self> {
+        let mut tree = Self::from_bytes(bytes)?;
+        if plan.is_some() {
+            tree.plan = plan;
+        }
+        Ok(tree)
     }
 
     fn from_region(region: Region) -> Result<Self> {
@@ -258,15 +249,13 @@ impl<K: FixedKey> MappedTree<K> {
 
     /// The fat descent plane, when the file stores a fat-node layout.
     #[inline]
-    fn fat_plane(&self) -> Option<FatBytesPlane<'_, K>> {
+    fn fat_plane(&self) -> Option<FatPlane<'_, K>> {
         self.fat_index.as_ref().map(|index| {
-            let (koff, klen) = self.geometry.keys;
-            FatBytesPlane {
+            FatPlane::new(
                 index,
-                bytes: &self.region.bytes()[koff..koff + klen],
-                key_count: self.geometry.key_count,
-                _keys: PhantomData,
-            }
+                self.geometry.key_bytes(self.region.bytes()),
+                self.geometry.key_count,
+            )
         })
     }
 
@@ -385,7 +374,7 @@ impl<K: FixedKey> MappedTree<K> {
     /// [`MappedTree::search`], recording every visited layout position.
     /// Fat files record at **chunk granularity** (all slots of each
     /// entered chunk — a rank-of-key loads the whole chunk), matching
-    /// the heap fat backend's traces slot for slot.
+    /// the fat kernel's traces slot for slot.
     pub fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
         let h = self.tree.height();
         let n = self.geometry.key_count;

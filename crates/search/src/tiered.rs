@@ -80,8 +80,10 @@
 
 use crate::facade::{SearchTree, Storage};
 use crate::forest::{Forest, ForestRange, ScrubReport};
+use crate::mapped::wants_table_plan;
 use cobtree_core::error::{check_sorted_keys, Error, Result};
-use cobtree_core::format::{self, FixedKey, ManifestV2, ShardRecord};
+use cobtree_core::format::{self, Descriptor, FixedKey, ManifestV2, ShardRecord};
+use cobtree_core::index::{rank_positions, MaterializedIndex, PositionIndex, StepPlan};
 use cobtree_core::io::{FaultIo, FaultKind, FaultRule, IoOp, RealIo, StorageIo};
 use cobtree_core::NamedLayout;
 use std::ops::Bound;
@@ -1367,48 +1369,108 @@ impl<K: FixedKey> Shared<K> {
     }
 }
 
-/// Rebuilds the base as one in-memory forest over the merged live keys.
+/// Rebuilds the base as one in-memory forest over the merged live keys:
+/// the same plan and scatter as [`publish_to_dir`]'s full rebuild, with
+/// each image served from memory instead of written and reopened.
 fn rebuild_in_memory<K: FixedKey>(
     cfg: &TieredConfig,
     base: Option<&Forest<K>>,
     frozen: &Memtable<K>,
 ) -> Result<Option<Arc<Forest<K>>>> {
-    let mut merged = Vec::new();
-    merged_live(base, frozen, &mut RankTables::default(), &mut merged)?;
-    if merged.is_empty() {
+    let mut tables = RankTables {
+        keep_plans: true,
+        ..RankTables::default()
+    };
+    let (merged, plans) = plan_shards(cfg, base, &[], frozen, FlushMode::Full, &mut tables)?;
+    let slots = plans.len();
+    let mut counts_by_slot = Vec::with_capacity(slots);
+    let mut trees = Vec::new();
+    let mut slot_of = Vec::new();
+    for (slot, plan) in plans.into_iter().enumerate() {
+        let ShardPlan::Build { keys } = plan else {
+            unreachable!("a full rebuild carries no shard");
+        };
+        counts_by_slot.push(keys.len() as u64);
+        if keys.is_empty() {
+            continue;
+        }
+        let (bytes, plan) = scatter(cfg.layout, &merged[keys], &mut tables)?;
+        trees.push(SearchTree::from_image(bytes, plan)?);
+        slot_of.push(slot);
+    }
+    if trees.is_empty() {
         return Ok(None);
     }
-    Forest::builder()
-        .layout(cfg.layout)
-        .storage(Storage::Implicit)
-        .shards(cfg.shards)
-        .keys(merged)
-        .build()
+    Forest::assemble(Storage::Implicit, slots, counts_by_slot, trees, slot_of)
         .map(|f| Some(Arc::new(f)))
 }
 
 /// Rank → position tables for one flush, one per distinct
 /// `(layout, height)`, shared by every shard the flush gathers from or
-/// scatters into and dropped with it.
+/// scatters into and dropped with it. With `keep_plans` (in-memory
+/// flushes) the same pass also records the node → position table that
+/// images of a layout without a cheap plan keep as their descent plan.
 #[derive(Default)]
-struct RankTables(Vec<(NamedLayout, u32, Vec<u32>)>);
+struct RankTables {
+    keep_plans: bool,
+    tables: Vec<RankTable>,
+}
+
+struct RankTable {
+    layout: NamedLayout,
+    height: u32,
+    ranks: Vec<u32>,
+    by_node: Option<Vec<u32>>,
+}
 
 impl RankTables {
-    fn get(&mut self, layout: NamedLayout, height: u32) -> Result<&[u32]> {
+    fn get(&mut self, layout: NamedLayout, height: u32) -> Result<&RankTable> {
         let at = match self
-            .0
+            .tables
             .iter()
-            .position(|&(l, h, _)| l == layout && h == height)
+            .position(|t| t.layout == layout && t.height == height)
         {
             Some(at) => at,
             None => {
-                self.0
-                    .push((layout, height, layout.rank_positions(height)?));
-                self.0.len() - 1
+                let plan = layout.compile_plan(height);
+                let mut by_node =
+                    (self.keep_plans && wants_table_plan(plan.as_ref())).then(Vec::new);
+                // The plan-less layouts' generic interpreter costs about
+                // six times one recursive materialization per node.
+                let index: Box<dyn PositionIndex> = match plan {
+                    Some(_) => layout.try_indexer(height)?,
+                    None => Box::new(MaterializedIndex::new(layout.try_materialize(height)?)),
+                };
+                let ranks = rank_positions(index.as_ref(), by_node.as_mut())?;
+                self.tables.push(RankTable {
+                    layout,
+                    height,
+                    ranks,
+                    by_node,
+                });
+                self.tables.len() - 1
             }
         };
-        Ok(&self.0[at].2)
+        Ok(&self.tables[at])
     }
+}
+
+/// Scatters one shard's merged keys into a `.cobt` image through the
+/// flush's rank table — the build step every flush shares — plus the
+/// table plan an in-memory image keeps, when its tables record one.
+fn scatter<K: FixedKey>(
+    layout: NamedLayout,
+    keys: &[K],
+    tables: &mut RankTables,
+) -> Result<(Vec<u8>, Option<StepPlan>)> {
+    let height = height_for(keys.len());
+    let table = tables.get(layout, height)?;
+    let bytes = format::encode_sorted(&Descriptor::Named(layout), &table.ranks, keys)?;
+    let plan = table
+        .by_node
+        .as_ref()
+        .map(|t| StepPlan::from_positions(height, t.clone()));
+    Ok((bytes, plan))
 }
 
 /// Smallest tree height whose `2^h − 1` slots hold `n ≥ 1` keys — the
@@ -1441,26 +1503,25 @@ fn merge_live<K: Ord + Copy>(
 }
 
 /// Merges one base shard with the delta routed to it (see
-/// [`merge_live`]). A shard served from a named-layout image is
-/// gathered in rank order straight from its key region through the
-/// layout's rank → position table; heap shards are iterated.
+/// [`merge_live`]). Every base shard is a named-layout image (flushed
+/// in memory or reopened from its file), so its keys are gathered in
+/// rank order straight from its key region through the layout's
+/// rank → position table.
 fn merge_shard<K: FixedKey>(
     tree: &SearchTree<K>,
     (inserts, tombstones): (&[K], &[K]),
     tables: &mut RankTables,
     out: &mut Vec<K>,
 ) -> Result<()> {
-    match tree.named_image() {
-        Some((layout, region)) => {
-            let table = tables.get(layout, tree.height())?;
-            let gathered = table[..tree.len() as usize].iter().map(|&p| {
-                let off = p as usize * K::WIDTH;
-                K::read_le(&region[off..off + K::WIDTH])
-            });
-            merge_live(gathered, inserts, tombstones, out);
-        }
-        None => merge_live(tree.iter(), inserts, tombstones, out),
-    }
+    let (layout, region) = tree.named_image().ok_or_else(|| Error::Malformed {
+        detail: "tiered base shard is not a named-layout image".into(),
+    })?;
+    let table = tables.get(layout, tree.height())?;
+    let gathered = table.ranks[..tree.len() as usize].iter().map(|&p| {
+        let off = p as usize * K::WIDTH;
+        K::read_le(&region[off..off + K::WIDTH])
+    });
+    merge_live(gathered, inserts, tombstones, out);
     Ok(())
 }
 
@@ -1616,8 +1677,7 @@ fn publish_to_dir<K: FixedKey>(
             }),
             ShardPlan::Build { keys } => {
                 let keys = &merged[keys];
-                let table = tables.get(cfg.layout, height_for(keys.len()))?;
-                let bytes = format::encode_sorted(cfg.layout, table, keys)?;
+                let (bytes, _) = scatter(cfg.layout, keys, &mut tables)?;
                 io.write_atomic(&dir.join(tiered_shard_name(gen)), &bytes)?;
                 rows.push(ShardRecord {
                     key_count: keys.len() as u64,
@@ -2434,7 +2494,7 @@ mod tests {
     }
 
     /// The flush's image builder writes exactly the bytes
-    /// `SearchTree::encode` writes for an implicit tree over the same
+    /// `SearchTree::encode` writes for an explicit tree over the same
     /// keys, for every binary named layout and for key counts on both
     /// sides of each height boundary; gathering the reopened mapped
     /// file through the rank table yields `iter()`.
@@ -2468,14 +2528,13 @@ mod tests {
                     .collect();
                 let want = SearchTree::builder()
                     .layout(layout)
-                    .storage(Storage::Implicit)
+                    .storage(Storage::Explicit)
                     .keys(keys.iter().copied())
                     .build()
                     .unwrap()
                     .encode(&SaveOptions::new())
                     .unwrap();
-                let table = tables.get(layout, height_for(n)).unwrap();
-                let got = format::encode_sorted(layout, table, &keys).unwrap();
+                let (got, _) = scatter(layout, &keys, &mut tables).unwrap();
                 assert!(got == want, "{layout} n={n}: image differs from encode");
 
                 std::fs::write(&path, &got).unwrap();

@@ -116,7 +116,12 @@ mod tests {
         let h = 6;
         let idx = NamedLayout::MinWep.indexer(h);
         let keys: Vec<u64> = (1..=(1u64 << h) - 1).collect();
-        let tree = crate::ImplicitTree::build(NamedLayout::MinWep.indexer(h), &keys);
+        let tree = crate::SearchTree::builder()
+            .layout(NamedLayout::MinWep)
+            .storage(crate::Storage::Implicit)
+            .keys(keys.iter().copied())
+            .build()
+            .unwrap();
         let mut via_backend = Vec::new();
         backend_search_addresses(&tree, 4, 16, &keys, |a| via_backend.push(a));
         let mut via_index = Vec::new();

@@ -135,7 +135,7 @@ proptest! {
     /// output of the rank-of-key kernels — point results, visited
     /// traces, batch checksums, interleaved results at every width, and
     /// bound ranks — must be **bit-identical** with the AVX2 path
-    /// enabled and with it force-disabled, on the heap fat backends and
+    /// enabled and with it force-disabled, on the in-memory fat images and
     /// the mapped backend serving the same tree from file bytes. (On a
     /// host without AVX2 both passes take the scalar path and the test
     /// degenerates to self-consistency.)

@@ -1,12 +1,21 @@
 //! Property-based tests for the search-tree substrate.
 
 use cobtree_core::NamedLayout;
-use cobtree_search::{ExplicitTree, ImplicitTree};
+use cobtree_search::{ExplicitTree, SearchTree, Storage};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 fn arb_named() -> impl Strategy<Value = NamedLayout> {
     proptest::sample::select(NamedLayout::ALL.to_vec())
+}
+
+fn implicit(layout: NamedLayout, keys: &[u64]) -> SearchTree<u64> {
+    SearchTree::builder()
+        .layout(layout)
+        .storage(Storage::Implicit)
+        .keys(keys.iter().copied())
+        .build()
+        .unwrap()
 }
 
 proptest! {
@@ -45,9 +54,8 @@ proptest! {
         let n = (1u64 << h) - 1;
         let keys: Vec<u64> = (1..=n).map(|k| k * mult).collect();
         let mat = layout.materialize(h);
-        let idx = layout.indexer(h);
         let et = ExplicitTree::build(&mat, &keys);
-        let it = ImplicitTree::build(idx, &keys);
+        let it = implicit(layout, &keys);
         for p in probes {
             prop_assert_eq!(et.search(p).is_some(), it.search(p).is_some(), "{:?} probe {}", layout, p);
         }
@@ -68,7 +76,7 @@ proptest! {
         let keys: Vec<u64> = (1..=n).map(|k| k * mult).collect();
         let mat = layout.materialize(h);
         let et = ExplicitTree::build(&mat, &keys);
-        let it = ImplicitTree::build(layout.indexer(h), &keys);
+        let it = implicit(layout, &keys);
         for p in probes {
             let lb = keys.partition_point(|&k| k < p) as u64;
             prop_assert_eq!(it.rank(p), lb, "{:?} rank({})", layout, p);

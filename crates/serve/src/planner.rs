@@ -143,11 +143,12 @@ impl AdaptiveEngine {
                 continue;
             }
             let (_, layout) = optimize_for_profile(&profile);
-            // A mapped shard cannot be rebuilt in place over its file
-            // bytes, so the replacement is served from the heap; other
-            // storages rebuild as themselves.
+            // A mapped shard's replacement is built as an in-memory
+            // image, so it stays on the same key plane and descent
+            // kernels as the file it replaces; other storages rebuild
+            // as themselves.
             let storage = match forest.storage() {
-                Storage::Mapped => Storage::Explicit,
+                Storage::Mapped => Storage::Implicit,
                 s => s,
             };
             let keys: Vec<u64> = tree.iter().collect();

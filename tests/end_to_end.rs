@@ -6,7 +6,7 @@ use cobtree::core::{EdgeWeights, NamedLayout, Tree};
 use cobtree::measures::{block_transitions, functionals};
 use cobtree::search::trace::search_addresses;
 use cobtree::search::workload::UniformKeys;
-use cobtree::search::{ExplicitTree, ImplicitTree};
+use cobtree::search::{ExplicitTree, SearchTree, Storage};
 
 fn nu0(layout: NamedLayout, h: u32) -> f64 {
     let l = layout.materialize(h);
@@ -111,10 +111,14 @@ fn explicit_implicit_and_oracle_agree() {
         NamedLayout::Bender,
     ] {
         let mat = layout.materialize(h);
-        let idx = layout.indexer(h);
         let keys: Vec<u64> = (1..=tree.len()).map(|k| k * 7 + 3).collect();
         let et = ExplicitTree::build(&mat, &keys);
-        let it = ImplicitTree::build(idx, &keys);
+        let it = SearchTree::builder()
+            .layout(layout)
+            .storage(Storage::Implicit)
+            .keys(keys.iter().copied())
+            .build()
+            .unwrap();
         let set: std::collections::BTreeSet<u64> = keys.iter().copied().collect();
         for probe in (0..=keys.len() as u64 * 7 + 10).step_by(3) {
             let expect = set.contains(&probe);

@@ -5,9 +5,10 @@
 //! oracles) — and every way a file can be corrupt, truncated or
 //! mismatched must surface as a typed `cobtree::Error`, never a panic.
 
+use cobtree::core::fat::FatLayout;
 use cobtree::core::format::{self, FixedKey};
-use cobtree::core::NamedLayout;
-use cobtree::{Error, SaveOptions, SearchTree, Storage};
+use cobtree::core::{EdgeWeights, NamedLayout};
+use cobtree::{Error, LayoutSource, SaveOptions, SearchBackend, SearchTree, Storage};
 use proptest::prelude::*;
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -79,6 +80,77 @@ fn saved_files_serve_identically_for_every_layout() {
                 in_memory[1].search_traced(p, &mut b)
             );
             assert_eq!(a, b, "{layout} trace({p})");
+        }
+    }
+}
+
+/// An in-memory image (`Storage::Implicit`) is the file the explicit
+/// tree encodes: byte-identical `encode` output, the same position for
+/// every rank and the same batch checksums — for every binary named
+/// layout, every fat layout, a weighted and a materialized source, at
+/// key counts on both sides of each height boundary.
+#[test]
+fn implicit_images_match_explicit_trees_for_every_source() {
+    let mut state = 0x1A5E_ED00_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    let mut counts = vec![1u64, 2, 3];
+    for k in [2u32, 5, 9] {
+        counts.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+    }
+    counts.push(1 + next() % 3_000);
+    for n in counts {
+        let mut key = 0u64;
+        let keys: Vec<u64> = (0..n)
+            .map(|_| {
+                key += 1 + next() % 9;
+                key
+            })
+            .collect();
+        let probes: Vec<u64> = (0..=key + 2).collect();
+        let height = 64 - n.leading_zeros();
+        let hot: Vec<u64> = (0..(1u64 << height) - 1).map(|r| 1 + r % 7 * 40).collect();
+        let sources = NamedLayout::ALL
+            .iter()
+            .map(|&l| LayoutSource::from(l))
+            .chain(FatLayout::ALL.iter().map(|&l| LayoutSource::from(l)))
+            .chain([
+                LayoutSource::from(NamedLayout::MinWep)
+                    .with_weights(EdgeWeights::from_access_counts(&hot)),
+                LayoutSource::from(NamedLayout::HalfWep.materialize(height)),
+            ]);
+        for source in sources {
+            let build = |storage| {
+                SearchTree::builder()
+                    .layout(source.clone())
+                    .storage(storage)
+                    .keys(keys.iter().copied())
+                    .build()
+                    .expect("build")
+            };
+            let (image, explicit) = (build(Storage::Implicit), build(Storage::Explicit));
+            let case = format!("{source:?} n={n}");
+            assert!(
+                image.encode(&SaveOptions::new()).expect("encode")
+                    == explicit.encode(&SaveOptions::new()).expect("encode"),
+                "{case}: encoded bytes differ"
+            );
+            for rank in 1..=image.capacity() {
+                assert_eq!(
+                    image.position_of_rank(rank),
+                    explicit.position_of_rank(rank),
+                    "{case} rank {rank}"
+                );
+            }
+            assert_eq!(
+                image.search_batch_checksum(&probes),
+                explicit.search_batch_checksum(&probes),
+                "{case}"
+            );
         }
     }
 }

@@ -6,7 +6,7 @@
 //! experiments:
 //!   fig1    block transitions + edge CDF (Fig 1)
 //!   fig2    nu0, beta{2,5,16}, L1/L2 miss rates, explicit search time (Fig 2)
-//!   fig3    objective-optimal layout comparison (Fig 3)
+//!   fig3    objective-optimal layout comparison + layout generation time (Fig 3)
 //!   fig4    nu0 (10 layouts), explicit/implicit/index times (Fig 4)
 //!   fig5    h=6 functional table vs the paper (Fig 5)
 //!   table1  nomenclature (Table I)
@@ -69,7 +69,13 @@ fn run(cfg: &Config, what: &str) {
             ));
             emit(cfg, tables);
         }
-        "fig3" => emit(cfg, vec![locality::fig3_objective_layouts(cfg)]),
+        "fig3" => emit(
+            cfg,
+            vec![
+                locality::fig3_objective_layouts(cfg),
+                timing_exp::layout_generation_time(cfg),
+            ],
+        ),
         "fig4" => {
             let tables = vec![
                 locality::nu0_vs_height(

@@ -9,14 +9,10 @@ use crate::report::Table;
 use crate::throughput::{self, ThroughputConfig};
 use cobtree_cachesim::presets;
 use cobtree_cachesim::replay::{replay_forest_point, replay_search_backend};
+use cobtree_core::io::ScratchDir;
 use cobtree_search::forest::rank_checksum;
 use cobtree_search::workload::UniformKeys;
 use cobtree_search::{Forest, SearchTree, Storage};
-use std::path::PathBuf;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("cobtree-forest-exp-{}-{tag}", std::process::id()))
-}
 
 fn irregular_keys(n: u64) -> Vec<u64> {
     (1..=n).map(|k| k * 5 + (k % 4)).collect()
@@ -44,9 +40,9 @@ pub fn single_tree_parity(cfg: &Config) -> Table {
         .keys(keys.iter().copied())
         .build()
         .expect("heap forest");
-    let dir = temp_dir("parity");
-    heap.save(&dir).expect("save forest");
-    let mapped: Forest<u64> = Forest::open(&dir).expect("open forest");
+    let dir = ScratchDir::new("forest-exp-parity");
+    heap.save(dir.path()).expect("save forest");
+    let mapped: Forest<u64> = Forest::open(dir.path()).expect("open forest");
 
     let probes = UniformKeys::new(n * 6, cfg.seed).take_vec(cfg.searches.min(50_000));
     let mut sorted = probes.clone();
@@ -119,8 +115,6 @@ pub fn single_tree_parity(cfg: &Config) -> Table {
             "yes".into(),
         ]);
     }
-    drop(mapped);
-    std::fs::remove_dir_all(&dir).expect("remove temp dir");
     t
 }
 

@@ -18,10 +18,10 @@ use crate::timing::median_time;
 use cobtree_cachesim::presets;
 use cobtree_cachesim::replay::{replay_range_scan, replay_search_backend, replay_sorted_batches};
 use cobtree_core::format;
+use cobtree_core::io::ScratchDir;
 use cobtree_core::NamedLayout;
 use cobtree_search::workload::{scan_starts, sorted_batches, UniformKeys};
 use cobtree_search::{MappedTree, SaveOptions, SearchTree, Storage};
-use std::path::PathBuf;
 
 /// The layouts the serving comparison reports: the paper's point-search
 /// champion, the classical vEB baseline, the scan champion, and the
@@ -32,10 +32,6 @@ const SERVE_LAYOUTS: [NamedLayout; 4] = [
     NamedLayout::InOrder,
     NamedLayout::PreBreadth,
 ];
-
-fn temp_file(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("cobtree-serve-{}-{tag}.cobt", std::process::id()))
-}
 
 fn build_implicit(layout: NamedLayout, h: u32) -> SearchTree<u64> {
     let n = (1u64 << h) - 1;
@@ -85,9 +81,10 @@ pub fn mapped_vs_implicit_block_transfers(cfg: &Config) -> Table {
             "checksum_equal",
         ],
     );
+    let dir = ScratchDir::new("serve-exp");
     for layout in SERVE_LAYOUTS {
         let built = build_implicit(layout, h);
-        let path = temp_file(layout.label());
+        let path = dir.path().join(format!("{}.cobt", layout.label()));
         built
             .write_file(&path, &SaveOptions::new())
             .expect("save to temp file");
@@ -127,7 +124,6 @@ pub fn mapped_vs_implicit_block_transfers(cfg: &Config) -> Table {
         }
         row.push("yes".to_string());
         t.push_row(row);
-        std::fs::remove_file(&path).expect("remove temp file");
     }
     t
 }

@@ -4,12 +4,16 @@
 //!   top-right;
 //! * *implicit* (pointer-less) search — Figure 4 bottom-left;
 //! * *index computation only* (no memory accesses) — Figure 4
-//!   bottom-right.
+//!   bottom-right;
+//! * *layout generation* — the engine's materialization of six layout
+//!   families and the MINLA/MINBW baseline constructions behind
+//!   Figure 3.
 
 use super::Config;
 use crate::report::Table;
 use crate::timing::median_time;
-use cobtree_core::NamedLayout;
+use cobtree_core::{Layout, NamedLayout};
+use cobtree_optimizer::{minbw_layout, minla_layout};
 use cobtree_search::workload::UniformKeys;
 use cobtree_search::{ExplicitTree, IndexOnlySearcher, SearchTree, Storage};
 
@@ -104,6 +108,42 @@ pub fn index_computation_time(cfg: &Config, layouts: &[NamedLayout]) -> Table {
     t
 }
 
+/// Median wall-clock cost of building one layout of height
+/// `cfg.curve_height`: [`NamedLayout::materialize`] for six families,
+/// then the MINLA and MINBW baseline constructions Figure 3 compares.
+#[must_use]
+pub fn layout_generation_time(cfg: &Config) -> Table {
+    let h = cfg.curve_height;
+    let nodes = (1u64 << h) - 1;
+    let mut t = Table::new(
+        "fig3_layout_generation",
+        "Layout generation: median build time per layout",
+        &["layout", "h", "ms_per_build", "ns_per_node"],
+    );
+    let mut time = |label: &str, build: &dyn Fn() -> Layout| {
+        let ns = median_time(cfg.repeats, nodes, || build().len());
+        t.push_row(vec![
+            label.to_string(),
+            h.to_string(),
+            format!("{:.3}", ns * nodes as f64 / 1e6),
+            format!("{ns:.1}"),
+        ]);
+    };
+    for l in [
+        NamedLayout::PreBreadth,
+        NamedLayout::InOrder,
+        NamedLayout::PreVeb,
+        NamedLayout::InVebA,
+        NamedLayout::HalfWep,
+        NamedLayout::MinWep,
+    ] {
+        time(l.label(), &|| l.materialize(h));
+    }
+    time("MINLA", &|| minla_layout(h));
+    time("MINBW", &|| minbw_layout(h));
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,6 +159,20 @@ mod tests {
             for cell in &row[1..] {
                 assert!(cell.parse::<f64>().unwrap() > 0.0);
             }
+        }
+    }
+
+    #[test]
+    fn layout_generation_table_shape() {
+        let cfg = Config::tiny();
+        let t = layout_generation_time(&cfg);
+        assert_eq!(t.columns, ["layout", "h", "ms_per_build", "ns_per_node"]);
+        let labels: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(labels.len(), 8);
+        assert!(labels.contains(&"MINWEP") && labels.ends_with(&["MINLA", "MINBW"]));
+        for row in &t.rows {
+            assert_eq!(row[1], cfg.curve_height.to_string());
+            assert!(row[3].parse::<f64>().unwrap() > 0.0, "{row:?}");
         }
     }
 }

@@ -305,6 +305,7 @@ pub fn assert_jsonish(s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobtree_core::io::ScratchDir;
 
     #[test]
     fn pretty_layout_keeps_fields_on_one_line() {
@@ -363,15 +364,13 @@ mod tests {
 
     #[test]
     fn write_creates_parent_dirs() {
-        let dir = std::env::temp_dir().join(format!("cobtree-json-writer-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("nested").join("out.json");
+        let dir = ScratchDir::new("json-writer");
+        let path = dir.path().join("nested").join("out.json");
         JsonObject::new()
             .with("x", 1u64)
             .write(&path)
             .expect("write");
         let back = std::fs::read_to_string(&path).expect("read");
         assert_eq!(back, "{\n  \"x\": 1\n}\n");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -25,6 +25,7 @@ use cobtree_cachesim::presets;
 use cobtree_cachesim::replay::{
     replay_forest_point, replay_forest_scan, replay_forest_sorted_batch,
 };
+use cobtree_core::io::ScratchDir;
 use cobtree_core::NamedLayout;
 use cobtree_search::workload::{scan_starts, UniformKeys, ZipfKeys, ZipfTable};
 use cobtree_search::{Forest, Storage};
@@ -293,14 +294,10 @@ pub fn run_with_zipf(cfg: &ThroughputConfig, zipf: &ZipfTable) -> ThroughputRepo
         .keys((1..=cfg.keys).map(|k| k * 2))
         .build()
         .expect("throughput forest");
-    let dir = std::env::temp_dir().join(format!(
-        "cobtree-throughput-{}-{:x}",
-        std::process::id(),
-        cfg.seed
-    ));
+    let dir = ScratchDir::new("throughput");
     let forest = if cfg.mapped {
-        built.save(&dir).expect("save forest to temp dir");
-        Forest::open(&dir).expect("open saved forest")
+        built.save(dir.path()).expect("save forest to scratch dir");
+        Forest::open(dir.path()).expect("open saved forest")
     } else {
         built
     };
@@ -485,10 +482,6 @@ pub fn run_with_zipf(cfg: &ThroughputConfig, zipf: &ZipfTable) -> ThroughputRepo
         stitched_scan_keys,
         stitched_scan_ns_per_key: finite(stitched_scan_ns_per_key),
     };
-    if cfg.mapped {
-        drop(forest);
-        std::fs::remove_dir_all(&dir).expect("remove throughput temp dir");
-    }
     report
 }
 

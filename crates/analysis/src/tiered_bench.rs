@@ -25,47 +25,18 @@
 //! a stable field order.
 
 use crate::json::{finite, percentile, JsonObject};
+use cobtree_core::io::ScratchDir;
 use cobtree_core::NamedLayout;
 use cobtree_search::tiered::TieredForest;
 use cobtree_search::workload::UniformKeys;
 use cobtree_search::{Forest, Storage};
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::time::Instant;
 
 /// Sample one in `2^LATENCY_SHIFT` reads for the latency percentiles
 /// (same cadence as the forest harness).
 const LATENCY_SHIFT: usize = 4;
-
-/// A temp directory private to one caller — named from the process id
-/// and a process-wide counter, so concurrent runs in one process never
-/// share it — and removed when dropped.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "cobtree-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Self(dir)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
 
 /// Configuration of one tiered read-write run.
 #[derive(Debug, Clone)]

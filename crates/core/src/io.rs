@@ -18,6 +18,10 @@
 //!   rendering is byte-identical across runs of the same schedule —
 //!   the chaos harness asserts exactly that.
 //!
+//! [`ScratchDir`] is the one scratch-directory helper the tests,
+//! experiment drivers and tools share: a private directory that
+//! removes itself on drop.
+//!
 //! The seam is deliberately coarse (whole-file write / read / remove)
 //! because that is the store's actual access pattern: `.cobt` shard
 //! files and `.cobf` manifests are written once, immutable afterwards,
@@ -26,7 +30,8 @@
 use crate::error::{Error, Result};
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// The filesystem operations the store performs, each with its own
@@ -213,6 +218,53 @@ impl StorageIo for RealIo {
 
     fn read(&self, path: &Path) -> Result<Vec<u8>> {
         std::fs::read(path).map_err(|e| Error::io(&e))
+    }
+}
+
+/// A directory under the system temp dir private to its owner and
+/// removed, with everything in it, on drop.
+///
+/// The name joins the caller's tag, the process id and a process-wide
+/// counter, so no two instances — in one process, across threads, or
+/// across concurrently running test binaries — share a path.
+#[derive(Debug)]
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Creates a fresh, empty directory named after `tag`.
+    ///
+    /// # Panics
+    /// Panics if the directory cannot be created.
+    #[must_use]
+    pub fn new(tag: &str) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "cobtree-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir)
+            .unwrap_or_else(|e| panic!("create scratch dir {}: {e}", dir.display()));
+        Self(dir)
+    }
+
+    /// The directory's path.
+    #[must_use]
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for ScratchDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
     }
 }
 
@@ -457,13 +509,41 @@ impl StorageIo for FaultIo {
 mod tests {
     use super::*;
 
-    fn temp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("cobtree-io-{}-{name}", std::process::id()))
+    #[test]
+    fn scratch_dirs_are_distinct_even_across_threads() {
+        let a = ScratchDir::new("same-tag");
+        let b = ScratchDir::new("same-tag");
+        assert_ne!(a.path(), b.path());
+        let threaded: Vec<ScratchDir> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| ScratchDir::new("same-tag")))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut paths: Vec<&Path> = threaded.iter().map(ScratchDir::path).collect();
+        paths.extend([a.path(), b.path()]);
+        paths.sort();
+        paths.dedup();
+        assert_eq!(paths.len(), 6, "two scratch dirs share a path");
+        assert!(paths.iter().all(|p| p.is_dir()));
+    }
+
+    #[test]
+    fn scratch_dir_exists_while_held_and_is_removed_with_contents_on_drop() {
+        let dir = ScratchDir::new("drop");
+        let path = dir.path().to_path_buf();
+        assert!(path.is_dir());
+        std::fs::create_dir(path.join("nested")).unwrap();
+        std::fs::write(path.join("nested").join("file"), b"bytes").unwrap();
+        std::fs::write(path.join("top"), b"bytes").unwrap();
+        drop(dir);
+        assert!(!path.exists(), "{} outlived its ScratchDir", path.display());
     }
 
     #[test]
     fn real_io_atomic_write_round_trips_and_replaces() {
-        let path = temp("atomic");
+        let dir = ScratchDir::new("io-atomic");
+        let path = dir.path().join("atomic");
         let io = RealIo;
         io.write_atomic(&path, b"first").unwrap();
         assert_eq!(io.read(&path).unwrap(), b"first");
@@ -477,7 +557,8 @@ mod tests {
 
     #[test]
     fn scripted_faults_fire_at_exact_counts() {
-        let path = temp("scripted");
+        let dir = ScratchDir::new("io-scripted");
+        let path = dir.path().join("scripted");
         let io = FaultIo::scripted(vec![
             FaultRule {
                 op: IoOp::Write,
@@ -501,13 +582,12 @@ mod tests {
         assert_ne!(corrupt, b"payload-bytes");
         assert_eq!(corrupt.len(), b"payload-bytes".len());
         assert_eq!(io.pending_rules(), 0);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(temp_path(&path)).ok();
     }
 
     #[test]
     fn fsync_fault_leaves_final_path_untouched() {
-        let path = temp("fsync");
+        let dir = ScratchDir::new("io-fsync");
+        let path = dir.path().join("fsync");
         std::fs::write(&path, b"old").unwrap();
         let io = FaultIo::scripted(vec![FaultRule {
             op: IoOp::Sync,
@@ -516,20 +596,17 @@ mod tests {
         }]);
         io.write_atomic(&path, b"new-longer-content").unwrap_err();
         assert_eq!(std::fs::read(&path).unwrap(), b"old");
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(temp_path(&path)).ok();
     }
 
     #[test]
     fn same_seed_yields_byte_identical_event_logs() {
         let drive = |io: &FaultIo| {
-            let path = temp("det");
+            let dir = ScratchDir::new("io-det");
+            let path = dir.path().join("det");
             for i in 0..6u32 {
                 let _ = io.write_atomic(&path, format!("content-{i}").as_bytes());
                 let _ = io.read(&path);
             }
-            std::fs::remove_file(&path).ok();
-            std::fs::remove_file(temp_path(&path)).ok();
         };
         let (a, b) = (FaultIo::seeded(0xC0B7, 4, 6), FaultIo::seeded(0xC0B7, 4, 6));
         drive(&a);
@@ -546,7 +623,8 @@ mod tests {
 
     #[test]
     fn short_read_truncates_without_error() {
-        let path = temp("short");
+        let dir = ScratchDir::new("io-short");
+        let path = dir.path().join("short");
         std::fs::write(&path, vec![7u8; 100]).unwrap();
         let io = FaultIo::scripted(vec![FaultRule {
             op: IoOp::Read,
@@ -555,6 +633,5 @@ mod tests {
         }]);
         assert_eq!(io.read(&path).unwrap().len(), 10);
         assert_eq!(io.read(&path).unwrap().len(), 100);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -287,6 +287,7 @@ impl<K: Ord + Copy> std::fmt::Debug for AdaptiveForest<K> {
 mod tests {
     use super::*;
     use crate::facade::Storage;
+    use cobtree_core::io::ScratchDir;
     use cobtree_core::NamedLayout;
 
     fn keys(n: u64) -> Vec<u64> {
@@ -407,7 +408,7 @@ mod tests {
 
     #[test]
     fn save_open_round_trips_profiles() {
-        let dir = std::env::temp_dir().join(format!("cobtree-adaptive-{}", std::process::id()));
+        let dir = ScratchDir::new("adaptive-profiles");
         let engine = AdaptiveForest::new(forest(200, 3));
         let h = engine.snapshot().shard(1).unwrap().height();
         let n = (1usize << h) - 1;
@@ -438,7 +439,6 @@ mod tests {
         engine.save(&dir).unwrap();
         let reopened: AdaptiveForest<u64> = AdaptiveForest::open(&dir).unwrap();
         assert_eq!(reopened.built_for(1), None);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

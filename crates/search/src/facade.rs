@@ -654,9 +654,7 @@ pub enum DescriptorKind {
 /// alignment, descriptor kind, and the traffic profile the layout was
 /// built for (written as a `.cobw` sidecar next to the tree file —
 /// byte spec in `docs/FORMAT.md`). Consumed by [`SearchTree::encode`]
-/// and [`SearchTree::write_file`]; the pre-redesign methods
-/// (`save`/`save_with`/`to_file_bytes`/`to_file_bytes_with`) remain as
-/// deprecated wrappers over these two.
+/// and [`SearchTree::write_file`].
 ///
 /// ```
 /// use cobtree_search::{SaveOptions, SearchTree};
@@ -872,48 +870,6 @@ impl<K: Ord + Copy + FixedKey> SearchTree<K> {
             Some(profile) => io.write_atomic(&sidecar, &encode_weight_profile(profile)),
             None => io.remove(&sidecar),
         }
-    }
-
-    /// Serializes with all-default [`SaveOptions`].
-    ///
-    /// # Errors
-    /// As for [`SearchTree::encode`].
-    #[deprecated(since = "0.3.0", note = "use `encode(&SaveOptions::new())`")]
-    pub fn to_file_bytes(&self) -> Result<Vec<u8>> {
-        self.encode(&SaveOptions::new())
-    }
-
-    /// Serializes with an explicit block alignment.
-    ///
-    /// # Errors
-    /// As for [`SearchTree::encode`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `encode(&SaveOptions::new().block_bytes(...))`"
-    )]
-    pub fn to_file_bytes_with(&self, block_bytes: u64) -> Result<Vec<u8>> {
-        self.encode(&SaveOptions::new().block_bytes(block_bytes))
-    }
-
-    /// Writes to `path` with all-default [`SaveOptions`].
-    ///
-    /// # Errors
-    /// As for [`SearchTree::write_file`].
-    #[deprecated(since = "0.3.0", note = "use `write_file(path, &SaveOptions::new())`")]
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.write_file(path, &SaveOptions::new())
-    }
-
-    /// Writes to `path` with an explicit block alignment.
-    ///
-    /// # Errors
-    /// As for [`SearchTree::write_file`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `write_file(path, &SaveOptions::new().block_bytes(...))`"
-    )]
-    pub fn save_with(&self, path: impl AsRef<Path>, block_bytes: u64) -> Result<()> {
-        self.write_file(path, &SaveOptions::new().block_bytes(block_bytes))
     }
 
     /// Memory-maps a saved tree file and serves it as a

@@ -1154,22 +1154,14 @@ impl<K: Ord + Copy + FixedKey> Forest<K> {
     /// [`Error::Io`] on filesystem failures, plus the tree/manifest
     /// encoding errors.
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<()> {
-        self.save_with(dir, format::DEFAULT_BLOCK_BYTES)
+        self.save_with_profiles(dir, format::DEFAULT_BLOCK_BYTES, &[])
     }
 
-    /// [`Forest::save`] with an explicit per-shard block alignment.
-    ///
-    /// # Errors
-    /// As for [`Forest::save`].
-    pub fn save_with(&self, dir: impl AsRef<Path>, block_bytes: u64) -> Result<()> {
-        self.save_with_profiles(dir, block_bytes, &[])
-    }
-
-    /// [`Forest::save_with`], additionally recording each dense shard's
-    /// built-for traffic profile as a `.cobw` sidecar next to its
-    /// `.cobt` file (shards whose entry is `None` — or beyond
-    /// `profiles.len()` — get no sidecar, and any stale one is
-    /// removed). Shard files are written first and the manifest last,
+    /// [`Forest::save`] with an explicit per-shard block alignment,
+    /// additionally recording each dense shard's built-for traffic
+    /// profile as a `.cobw` sidecar next to its `.cobt` file (shards
+    /// whose entry is `None` — or beyond `profiles.len()` — get no
+    /// sidecar, and any stale one is removed). Shard files are written first and the manifest last,
     /// so a torn save never yields a manifest pointing at missing
     /// shards.
     ///
@@ -1503,6 +1495,7 @@ impl<K: Copy + Ord> std::fmt::Debug for ForestCursor<'_, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobtree_core::io::ScratchDir;
 
     fn keys(n: u64) -> Vec<u64> {
         (1..=n).map(|k| k * 3 + (k % 2)).collect()
@@ -1792,7 +1785,7 @@ mod tests {
 
     #[test]
     fn save_open_round_trips_through_mapped_shards() {
-        let dir = std::env::temp_dir().join(format!("cobtree-forest-{}", std::process::id()));
+        let dir = ScratchDir::new("forest-save-open");
         let f = forest(250, 4);
         f.save(&dir).unwrap();
         let served: Forest<u64> = Forest::open(&dir).unwrap();
@@ -1807,7 +1800,7 @@ mod tests {
             f.iter().collect::<Vec<u64>>()
         );
         // A corrupted manifest is a typed error.
-        let manifest_path = dir.join(MANIFEST_FILE);
+        let manifest_path = dir.path().join(MANIFEST_FILE);
         let mut bytes = std::fs::read(&manifest_path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x10;
@@ -1816,21 +1809,23 @@ mod tests {
             Forest::<u64>::open(&dir).unwrap_err(),
             Error::ChecksumMismatch { .. }
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn open_rejects_a_swapped_shard_file() {
-        let dir = std::env::temp_dir().join(format!("cobtree-forest-swap-{}", std::process::id()));
+        let dir = ScratchDir::new("forest-swap");
         let f = forest(200, 2);
         f.save(&dir).unwrap();
         // Overwrite shard 0 with shard 1's file: counts/bounds disagree
         // with the manifest row.
-        std::fs::copy(dir.join(shard_file_name(1)), dir.join(shard_file_name(0))).unwrap();
+        std::fs::copy(
+            dir.path().join(shard_file_name(1)),
+            dir.path().join(shard_file_name(0)),
+        )
+        .unwrap();
         assert!(matches!(
             Forest::<u64>::open(&dir).unwrap_err(),
             Error::Malformed { .. }
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -91,7 +91,7 @@ impl<K: FixedKey> LayoutMap<K> {
     /// one has been published.
     #[must_use]
     pub fn bulk(&self) -> Option<Arc<Forest<K>>> {
-        self.tiered.snapshot().base_arc()
+        self.tiered.base()
     }
 
     /// Membership test.

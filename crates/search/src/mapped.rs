@@ -531,11 +531,8 @@ impl<K> std::fmt::Debug for MappedTree<K> {
 mod tests {
     use super::*;
     use crate::facade::{SaveOptions, SearchTree, Storage};
+    use cobtree_core::io::ScratchDir;
     use cobtree_core::NamedLayout;
-
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("cobtree-mapped-{}-{name}.cobt", std::process::id()))
-    }
 
     fn build(layout: NamedLayout, n: u64) -> SearchTree<u64> {
         SearchTree::builder()
@@ -549,7 +546,8 @@ mod tests {
     #[test]
     fn mapped_file_agrees_with_implicit_on_everything() {
         let source = build(NamedLayout::MinWep, 300);
-        let path = temp_path("agree");
+        let dir = ScratchDir::new("mapped-agree");
+        let path = dir.path().join("tree.cobt");
         source.write_file(&path, &SaveOptions::new()).unwrap();
         let mapped: MappedTree<u64> = MappedTree::open(&path).unwrap();
         assert!(mapped.is_memory_mapped());
@@ -569,13 +567,13 @@ mod tests {
             );
             assert_eq!(a, b, "trace for {probe}");
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn read_and_open_validate_identically() {
         let source = build(NamedLayout::PreVeb, 64);
-        let path = temp_path("read");
+        let dir = ScratchDir::new("mapped-read");
+        let path = dir.path().join("tree.cobt");
         source.write_file(&path, &SaveOptions::new()).unwrap();
         let via_read: MappedTree<u64> = MappedTree::read(&path).unwrap();
         assert!(!via_read.is_memory_mapped());
@@ -585,13 +583,13 @@ mod tests {
             via_read.search_batch_checksum(&probes),
             via_open.search_batch_checksum(&probes)
         );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_file_and_wrong_key_type_are_typed_errors() {
+        let dir = ScratchDir::new("mapped-missing");
         assert!(matches!(
-            MappedTree::<u64>::open(temp_path("nonexistent")).unwrap_err(),
+            MappedTree::<u64>::open(dir.path().join("nonexistent.cobt")).unwrap_err(),
             Error::Io { .. }
         ));
         let bytes = build(NamedLayout::InOrder, 20)

@@ -906,12 +906,6 @@ impl<K: Ord + Copy> TieredSnapshot<K> {
         self.base.as_deref()
     }
 
-    /// An owned handle to the base forest (shared with the engine).
-    #[must_use]
-    pub fn base_arc(&self) -> Option<Arc<Forest<K>>> {
-        self.base.clone()
-    }
-
     /// Resolves a probe against the buffer tiers alone: `Some(found)`
     /// when the memtable or frozen buffer decides the probe without
     /// touching the base, `None` when it must descend into a shard.
@@ -2013,6 +2007,13 @@ impl<K: FixedKey> TieredForest<K> {
             .is_some_and(|f| f.quarantine(shard))
     }
 
+    /// The published base forest, if any: only the `Arc` is cloned,
+    /// not the buffers a [`TieredForest::snapshot`] copies.
+    #[must_use]
+    pub fn base(&self) -> Option<Arc<Forest<K>>> {
+        self.shared.read_tiers().base.clone()
+    }
+
     /// An owned point-in-time view: wait-free queries, ranges and
     /// cursors, unaffected by later writes or compactions.
     #[must_use]
@@ -2182,13 +2183,8 @@ impl<K> Drop for TieredForest<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobtree_core::io::ScratchDir;
     use std::collections::BTreeSet;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cobtree-tiered-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn assert_matches_oracle(engine: &TieredForest<u64>, oracle: &BTreeSet<u64>, probes: &[u64]) {
         assert_eq!(engine.len(), oracle.len() as u64);
@@ -2345,7 +2341,7 @@ mod tests {
 
     #[test]
     fn durable_store_publishes_carries_and_reopens() {
-        let dir = temp_dir("durable");
+        let dir = ScratchDir::new("tiered-durable");
         let engine = TieredForest::<u64>::builder()
             .shards(4)
             .keys((0..400u64).map(|k| k * 3))
@@ -2389,13 +2385,11 @@ mod tests {
             reopened.locate(2).unwrap().place,
             TierPlace::Shard { .. }
         ));
-        drop(reopened);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn draining_every_key_survives_reopen() {
-        let dir = temp_dir("drain");
+        let dir = ScratchDir::new("tiered-drain");
         let engine = TieredForest::<u64>::builder()
             .shards(2)
             .keys(1..=50u64)
@@ -2414,8 +2408,6 @@ mod tests {
         reopened.insert(7);
         assert!(reopened.flush().unwrap());
         assert_eq!(reopened.len(), 1);
-        drop(reopened);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -2468,7 +2460,7 @@ mod tests {
 
     #[test]
     fn failed_flush_keeps_writes_queued_for_retry() {
-        let dir = temp_dir("retry");
+        let dir = ScratchDir::new("tiered-retry");
         let engine = TieredForest::<u64>::builder()
             .shards(1)
             .keys(1..=20u64)
@@ -2489,8 +2481,6 @@ mod tests {
         let reopened = TieredForest::<u64>::open(&dir).unwrap();
         assert_eq!(reopened.len(), 21);
         assert!(reopened.contains(100) && reopened.contains(101) && !reopened.contains(1));
-        drop(reopened);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The flush's image builder writes exactly the bytes
@@ -2513,9 +2503,8 @@ mod tests {
             counts.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
         }
         counts.push(1 + (next() % 3_000) as usize);
-        let dir = temp_dir("scatter-parity");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("shard.cobt");
+        let dir = ScratchDir::new("tiered-scatter-parity");
+        let path = dir.path().join("shard.cobt");
         for layout in NamedLayout::ALL {
             let mut tables = RankTables::default();
             for &n in &counts {
@@ -2550,6 +2539,5 @@ mod tests {
                 assert_eq!(gathered, keys, "{layout} n={n}");
             }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

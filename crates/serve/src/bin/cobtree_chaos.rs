@@ -23,7 +23,7 @@
 //!   (**must stay ≤ 1.25× baseline**).
 
 use cobtree_analysis::json::JsonObject;
-use cobtree_core::io::{FaultIo, FaultKind, FaultRule, IoOp, StorageIo};
+use cobtree_core::io::{FaultIo, FaultKind, FaultRule, IoOp, ScratchDir, StorageIo};
 use cobtree_core::protocol::{Request, Status};
 use cobtree_core::NamedLayout;
 use cobtree_search::tiered::TieredForest;
@@ -73,10 +73,16 @@ fn main() {
             other => panic!("unknown flag {other} (try --help)"),
         }
     }
-    let dir = path.unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("cobtree-chaos-{}-{seed:x}", std::process::id()))
-    });
-    std::fs::remove_dir_all(&dir).ok();
+    // `--path` names a directory the drill clears and then owns;
+    // without it the store lives in a private scratch dir.
+    let scratch = ScratchDir::new("chaos");
+    let dir = match path {
+        Some(p) => {
+            std::fs::remove_dir_all(&p).ok();
+            p
+        }
+        None => scratch.path().to_path_buf(),
+    };
 
     // Boot: seed with clean I/O, reopen behind the fault seam so every
     // durable byte of the episode is observable and injectable.

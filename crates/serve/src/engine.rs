@@ -71,10 +71,7 @@ impl ServeEngine {
             // The router is pinned across swaps (same fences, same key
             // sets), so worker affinity never migrates mid-flight.
             ServeEngine::Adaptive(a) => a.snapshot().router().route(key),
-            ServeEngine::Tiered(t) => {
-                let snap = t.snapshot();
-                snap.base().and_then(|b| b.router().route(key))
-            }
+            ServeEngine::Tiered(t) => t.base().and_then(|b| b.router().route(key)),
         }
     }
 
@@ -85,10 +82,7 @@ impl ServeEngine {
         match self {
             ServeEngine::Forest(f) => f.shard_count().max(1),
             ServeEngine::Adaptive(a) => a.snapshot().shard_count().max(1),
-            ServeEngine::Tiered(t) => {
-                let snap = t.snapshot();
-                snap.base().map_or(1, |b| b.shard_count().max(1))
-            }
+            ServeEngine::Tiered(t) => t.base().map_or(1, |b| b.shard_count().max(1)),
         }
     }
 
@@ -682,5 +676,28 @@ mod tests {
             panic!("hit shape")
         };
         assert!(!found);
+    }
+
+    #[test]
+    fn tiered_routing_reads_the_base_router_with_a_populated_memtable() {
+        let t: TieredForest<u64> = TieredForest::builder()
+            .layout(NamedLayout::MinWep)
+            .shards(3)
+            .memtable_entries(1 << 20)
+            .keys((1..=300u64).map(|k| k * 2))
+            .build()
+            .expect("tiered");
+        for k in (1..=50u64).map(|k| k * 2 + 1) {
+            t.insert(k);
+        }
+        t.remove(4);
+        let t = Arc::new(t);
+        let base = t.base().expect("seeded engine has a base");
+        assert!(t.buffered() > 0, "memtable holds the writes");
+        let engine = ServeEngine::Tiered(Arc::clone(&t));
+        assert_eq!(engine.shard_count(), base.shard_count());
+        for key in 0..=620u64 {
+            assert_eq!(engine.route_shard(key), base.router().route(key), "{key}");
+        }
     }
 }

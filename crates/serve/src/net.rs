@@ -240,6 +240,7 @@ impl NetListener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cobtree_core::io::ScratchDir;
 
     #[test]
     fn addr_parsing() {
@@ -263,14 +264,10 @@ mod tests {
 
     #[test]
     fn tcp_and_unix_roundtrip() {
+        let dir = ScratchDir::new("net-sock");
         for spec in [
             "tcp:127.0.0.1:0".to_string(),
-            format!(
-                "unix:{}",
-                std::env::temp_dir()
-                    .join(format!("cobtree-net-test-{}.sock", std::process::id()))
-                    .display()
-            ),
+            format!("unix:{}", dir.path().join("sock").display()),
         ] {
             let addr = Addr::parse(&spec).unwrap();
             let listener = NetListener::bind(&addr).unwrap();

@@ -9,35 +9,27 @@
 //!   for exactly its own key range while every other shard keeps
 //!   answering, and healed by the next flush.
 
-use cobtree::core::io::{FaultIo, FaultKind, FaultRule, IoOp, StorageIo};
+use cobtree::core::io::{FaultIo, FaultKind, FaultRule, IoOp, ScratchDir, StorageIo};
 use cobtree::core::protocol::{Reply, Request, Status};
 use cobtree::core::NamedLayout;
 use cobtree::serve::bomber::{self, BomberConfig, OpMix};
 use cobtree::serve::{Client, ServeEngine, Server, ServerConfig};
 use cobtree::TieredForest;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn temp_dir(tag: &str, salt: u64) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "cobtree-chaos-it-{}-{tag}-{salt:x}",
-        std::process::id()
-    ))
-}
 
 /// Drives one deterministic storage workload — build, churn, flush,
 /// flush again — through a seeded fault schedule and returns the
 /// injected-event log. Single-threaded (no background compaction), so
 /// the operation stream is a pure function of the inputs.
-fn drive_seeded(seed: u64, dir: &Path) -> String {
-    std::fs::remove_dir_all(dir).ok();
+fn drive_seeded(seed: u64) -> String {
+    let dir = ScratchDir::new("chaos-det");
     let fault = Arc::new(FaultIo::seeded(seed, 8, 6));
     let io: Arc<dyn StorageIo> = Arc::clone(&fault) as Arc<dyn StorageIo>;
     let built = TieredForest::builder()
         .layout(NamedLayout::MinWep)
         .shards(2)
-        .path(dir)
+        .path(&dir)
         .background(false)
         .io(io)
         .keys((1..=200u64).map(|k| k * 2))
@@ -52,18 +44,16 @@ fn drive_seeded(seed: u64, dir: &Path) -> String {
         }
         let _ = t.flush();
     }
-    let log = fault.event_log();
-    std::fs::remove_dir_all(dir).ok();
-    log
+    fault.event_log()
 }
 
 /// Same seed ⇒ byte-identical failure sequence, run to run and
-/// directory to directory. This is the determinism contract every
+/// directory to directory (each run gets its own scratch dir). This is the determinism contract every
 /// other chaos assertion stands on.
 #[test]
 fn same_seed_yields_byte_identical_fault_sequences() {
-    let a = drive_seeded(0xC0FFEE, &temp_dir("det-a", 1));
-    let b = drive_seeded(0xC0FFEE, &temp_dir("det-b", 2));
+    let a = drive_seeded(0xC0FFEE);
+    let b = drive_seeded(0xC0FFEE);
     assert_eq!(a, b, "seeded schedules must replay byte-identically");
     assert!(
         !a.is_empty(),
@@ -71,7 +61,7 @@ fn same_seed_yields_byte_identical_fault_sequences() {
     );
     // A disjoint seed exercises a different schedule (sanity that the
     // log actually depends on the seed, not just the op stream).
-    let c = drive_seeded(0xBEEF, &temp_dir("det-c", 3));
+    let c = drive_seeded(0xBEEF);
     assert_ne!(a, c, "different seeds should inject differently");
 }
 
@@ -86,8 +76,7 @@ fn every_flush_failpoint_loses_no_acked_durable_write() {
     let base: Vec<u64> = (1..=300u64).map(|k| k * 2).collect();
     for op in [IoOp::Write, IoOp::Sync, IoOp::Rename] {
         for nth in 1..=6u64 {
-            let dir = temp_dir("failpoint", u64::from(op.label().len() as u32) << 8 | nth);
-            std::fs::remove_dir_all(&dir).ok();
+            let dir = ScratchDir::new("chaos-failpoint");
             let tiered = TieredForest::builder()
                 .layout(NamedLayout::MinWep)
                 .shards(2)
@@ -135,8 +124,6 @@ fn every_flush_failpoint_loses_no_acked_durable_write() {
                     op.label()
                 );
             }
-            drop(tiered);
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
@@ -149,8 +136,7 @@ fn every_flush_failpoint_loses_no_acked_durable_write() {
 /// one scripted.
 #[test]
 fn scrub_detects_quarantines_and_heals_under_load() {
-    let dir = temp_dir("loop", 0xFEED);
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ScratchDir::new("chaos-loop");
     {
         // Seed the store with clean I/O, then reopen behind the seam.
         let t = TieredForest::builder()
@@ -285,6 +271,4 @@ fn scrub_detects_quarantines_and_heals_under_load() {
     let reopened: TieredForest<u64> = TieredForest::open(&dir).expect("cold reopen");
     assert!(reopened.locate(99_999).is_some(), "acked heal-write lost");
     assert_eq!(reopened.quarantined_shards(), 0);
-    drop(reopened);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,6 +7,7 @@
 //! multiple fences, ranks at shard boundaries) get deterministic
 //! coverage on top of the property sweep.
 
+use cobtree::core::io::ScratchDir;
 use cobtree::core::NamedLayout;
 use cobtree::search::forest::rank_checksum;
 use cobtree::{Forest, SearchTree, Storage};
@@ -92,7 +93,7 @@ fn mapped_forest_round_trip_preserves_every_answer() {
     let keys: Vec<u64> = (1..=1_500u64).map(|k| k * 11).collect();
     let oracle = single(&keys);
     let built = forest(&keys, 6, Storage::Implicit);
-    let dir = std::env::temp_dir().join(format!("cobtree-forest-accept-{}", std::process::id()));
+    let dir = ScratchDir::new("forest-accept");
     built.save(&dir).expect("save forest");
     let served: Forest<u64> = Forest::open(&dir).expect("open forest");
     assert_eq!(served.storage(), Storage::Mapped);
@@ -119,8 +120,6 @@ fn mapped_forest_round_trip_preserves_every_answer() {
         served.par_range(100u64..=12_000, 4),
         oracle.range(100u64..=12_000).collect::<Vec<u64>>()
     );
-    drop(served);
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
@@ -150,17 +149,12 @@ fn empty_shards_answer_like_the_oracle() {
         }
         assert_eq!(f.iter().collect::<Vec<u64>>(), keys.to_vec());
         // Save → open keeps the empty slots (manifest rows) intact.
-        let dir = std::env::temp_dir().join(format!(
-            "cobtree-forest-empty-{}-{shards}",
-            std::process::id()
-        ));
+        let dir = ScratchDir::new("forest-empty");
         f.save(&dir).unwrap();
         let served: Forest<u64> = Forest::open(&dir).unwrap();
         assert_eq!(served.shard_count(), shards);
         assert_eq!(served.active_shards(), keys.len());
         assert_eq!(served.iter().collect::<Vec<u64>>(), keys.to_vec());
-        drop(served);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 

@@ -7,13 +7,10 @@
 
 use cobtree::core::fat::FatLayout;
 use cobtree::core::format::{self, FixedKey};
+use cobtree::core::io::ScratchDir;
 use cobtree::core::{EdgeWeights, NamedLayout};
 use cobtree::{Error, LayoutSource, SaveOptions, SearchBackend, SearchTree, Storage};
 use proptest::prelude::*;
-
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("cobtree-persist-{}-{tag}.cobt", std::process::id()))
-}
 
 /// The acceptance criterion: a saved-and-reopened tree passes the point
 /// and ordered oracles for every named layout, with batch checksums
@@ -22,6 +19,7 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
 fn saved_files_serve_identically_for_every_layout() {
     let keys: Vec<u64> = (0..500u64).map(|k| k * 11 + (k % 5)).collect();
     let probes: Vec<u64> = (0..6000u64).step_by(7).chain([0, 1, u64::MAX]).collect();
+    let dir = ScratchDir::new("persist-layouts");
     for layout in NamedLayout::ALL {
         let in_memory: Vec<SearchTree<u64>> = Storage::ALL
             .iter()
@@ -34,7 +32,7 @@ fn saved_files_serve_identically_for_every_layout() {
                     .expect("build")
             })
             .collect();
-        let path = temp_path(layout.label());
+        let path = dir.path().join(format!("{}.cobt", layout.label()));
         in_memory[1]
             .write_file(&path, &SaveOptions::new())
             .expect("save");
@@ -255,8 +253,9 @@ fn truncations_and_corruptions_never_panic() {
     ));
 
     // Opening a missing path is a typed I/O error.
+    let dir = ScratchDir::new("persist-missing");
     assert!(matches!(
-        SearchTree::<u64>::open(temp_path("does-not-exist")).unwrap_err(),
+        SearchTree::<u64>::open(dir.path().join("absent.cobt")).unwrap_err(),
         Error::Io { .. }
     ));
 }

@@ -3,6 +3,7 @@
 //! single-worker server whose answers are **bit-identical** to direct
 //! `Forest` calls over every read opcode.
 
+use cobtree::core::io::ScratchDir;
 use cobtree::core::protocol::{BatchHit, Reply, Request, Status, BUFFER_SHARD};
 use cobtree::core::NamedLayout;
 use cobtree::serve::{Client, ServeEngine, Server, ServerConfig};
@@ -174,11 +175,10 @@ fn one_worker_server_matches_direct_forest_calls() {
 fn multi_worker_and_unix_socket_agree_with_direct_calls() {
     let n = 1_500u64;
     let (forest, engine) = forest_engine(n, 5);
-    let unix_path =
-        std::env::temp_dir().join(format!("cobtree-serve-test-{}.sock", std::process::id()));
+    let dir = ScratchDir::new("serve-sock");
     for spec in [
         "tcp:127.0.0.1:0".to_string(),
-        format!("unix:{}", unix_path.display()),
+        format!("unix:{}", dir.path().join("sock").display()),
     ] {
         let cfg = ServerConfig {
             workers: 3,

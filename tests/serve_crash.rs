@@ -4,19 +4,13 @@
 //! taking the worker down, and a client that stops reading must get
 //! its connection dropped rather than wedging the event loop.
 
+use cobtree::core::io::ScratchDir;
 use cobtree::core::protocol::{Reply, Request, Status};
 use cobtree::core::NamedLayout;
 use cobtree::serve::{Client, ServeEngine, Server, ServerConfig};
 use cobtree::{Forest, Storage, TierPlace, TieredForest};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn temp_dir(tag: &str, salt: u64) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "cobtree-serve-it-{}-{tag}-{salt:x}",
-        std::process::id()
-    ))
-}
 
 fn tiered_server(dir: &std::path::Path, durable: bool) -> Server {
     let tiered = TieredForest::builder()
@@ -46,9 +40,8 @@ fn tiered_server(dir: &std::path::Path, durable: bool) -> Server {
 /// writes may or may not survive; acknowledged ones must.
 #[test]
 fn killed_server_loses_no_acknowledged_durable_writes() {
-    let dir = temp_dir("kill", 0xAC);
-    std::fs::remove_dir_all(&dir).ok();
-    let server = tiered_server(&dir, true);
+    let dir = ScratchDir::new("serve-crash-kill");
+    let server = tiered_server(dir.path(), true);
     let addr = server.addr().to_spec();
 
     // Drive acknowledged writes from two connections while the server
@@ -80,8 +73,6 @@ fn killed_server_loses_no_acknowledged_durable_writes() {
     // The base seed survives too.
     assert!(recovered.locate(2).is_some());
     assert!(recovered.locate(1_000).is_some());
-    drop(recovered);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Without `durable_writes` the ack is advisory; this test only pins
@@ -89,9 +80,8 @@ fn killed_server_loses_no_acknowledged_durable_writes() {
 /// still succeeds and serves the durable prefix.
 #[test]
 fn killed_volatile_server_leaves_store_openable() {
-    let dir = temp_dir("volatile", 0xBD);
-    std::fs::remove_dir_all(&dir).ok();
-    let server = tiered_server(&dir, false);
+    let dir = ScratchDir::new("serve-crash-volatile");
+    let server = tiered_server(dir.path(), false);
     let addr = server.addr().to_spec();
     let mut client = Client::connect(&addr).expect("connect");
     for i in 0..200u64 {
@@ -104,8 +94,6 @@ fn killed_volatile_server_leaves_store_openable() {
     server.abort();
     let recovered: TieredForest<u64> = TieredForest::open(&dir).expect("reopen after kill");
     assert!(recovered.locate(2).is_some(), "seed data lost");
-    drop(recovered);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `op_timeout = 0` makes every cross-worker handoff expire before it
@@ -249,8 +237,7 @@ fn corrupt_manifest_row_quarantines_one_shard_and_heals_on_flush() {
     use cobtree::core::format::{self, ManifestV2};
     use cobtree::search::tiered::tiered_manifest_name;
 
-    let dir = temp_dir("quarantine", 0xDF);
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ScratchDir::new("serve-crash-quarantine");
     {
         let tiered = TieredForest::builder()
             .layout(NamedLayout::MinWep)
@@ -277,7 +264,7 @@ fn corrupt_manifest_row_quarantines_one_shard_and_heals_on_flush() {
         })
         .max()
         .expect("a published manifest");
-    let manifest_path = dir.join(tiered_manifest_name(epoch));
+    let manifest_path = dir.path().join(tiered_manifest_name(epoch));
     let bytes = std::fs::read(&manifest_path).expect("read manifest");
     let mut manifest: ManifestV2<u64> = format::parse_manifest_v2(&bytes).expect("parse manifest");
     let victim_slot = manifest
@@ -357,7 +344,6 @@ fn corrupt_manifest_row_quarantines_one_shard_and_heals_on_flush() {
         );
     }
     server.shutdown().expect("shutdown");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// TierPlace is part of this test's contract surface: a key acked but
@@ -366,8 +352,7 @@ fn corrupt_manifest_row_quarantines_one_shard_and_heals_on_flush() {
 /// relies on to an observable place.
 #[test]
 fn acked_write_moves_from_buffer_to_shard_on_flush() {
-    let dir = temp_dir("place", 0xCE);
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ScratchDir::new("serve-crash-place");
     let tiered = TieredForest::builder()
         .layout(NamedLayout::MinWep)
         .shards(2)
@@ -402,5 +387,4 @@ fn acked_write_moves_from_buffer_to_shard_on_flush() {
         Some(TierPlace::Shard { .. })
     ));
     server.shutdown().expect("shutdown");
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,17 +7,11 @@
 //! store that reopens to precisely the state of the last successful
 //! publish, without panicking.
 
+use cobtree::core::io::ScratchDir;
 use cobtree::core::NamedLayout;
 use cobtree::{TierPlace, TieredForest};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-fn temp_dir(tag: &str, salt: u64) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "cobtree-tiered-it-{}-{tag}-{salt:x}",
-        std::process::id()
-    ))
-}
 
 /// Checks the complete query surface of `engine` against `oracle`,
 /// probing around every live key and a sweep of absent ones.
@@ -150,7 +144,6 @@ fn replay_against_oracle(
     ops: &[(u64, u64)],
     dir: &std::path::Path,
 ) -> Result<(), TestCaseError> {
-    std::fs::remove_dir_all(dir).ok();
     let engine: TieredForest<u64> = TieredForest::builder()
         .layout(layout)
         .shards(2)
@@ -221,8 +214,6 @@ fn replay_against_oracle(
     drop(engine);
     let reopened: TieredForest<u64> = TieredForest::open(dir).expect("reopen");
     assert_matches_oracle(&reopened, &oracle, "reopened");
-    drop(reopened);
-    std::fs::remove_dir_all(dir).ok();
     Ok(())
 }
 
@@ -257,8 +248,8 @@ fn flush_cases_match_btreeset_replay() {
                 (0, last1 + 5), // and above the last key
                 flush,
             ];
-            let dir = temp_dir(&format!("flush-cases-{layout}"), u64::from(h));
-            replay_against_oracle(layout, seed, &ops, &dir)
+            let dir = ScratchDir::new("tiered-flush-cases");
+            replay_against_oracle(layout, seed, &ops, dir.path())
                 .unwrap_or_else(|e| panic!("{layout} h={h}: {e:?}"));
         }
     }
@@ -278,9 +269,9 @@ proptest! {
         layout in proptest::sample::select(vec![NamedLayout::MinWep, NamedLayout::PreVeb]),
         seed_keys in proptest::collection::btree_set(0u64..4_000, 0..120),
         ops in proptest::collection::vec((0u64..4u64, 0u64..4_000), 1..160),
-        salt in any::<u64>(),
     ) {
-        replay_against_oracle(layout, seed_keys, &ops, &temp_dir("oracle", salt))?;
+        let dir = ScratchDir::new("tiered-oracle");
+        replay_against_oracle(layout, seed_keys, &ops, dir.path())?;
     }
 
     /// Crash consistency: kill the compaction at an arbitrary write
@@ -297,8 +288,7 @@ proptest! {
         ),
         salt in any::<u64>(),
     ) {
-        let dir = temp_dir("crash", salt);
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = ScratchDir::new("tiered-crash");
         let seed: Vec<u64> = (1..=200u64).map(|k| k * 3).collect();
         let mut engine: TieredForest<u64> = TieredForest::builder()
             .shards(3)
@@ -356,8 +346,6 @@ proptest! {
         let got: Vec<u64> = back.snapshot().iter().collect();
         let expect: Vec<u64> = oracle.iter().copied().collect();
         prop_assert_eq!(got, expect);
-        drop(back);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -391,8 +379,7 @@ fn memtable_only_engine_matches_oracle() {
 /// all, and stay total after the last key is tombstoned away.
 #[test]
 fn empty_and_fully_drained_engines_answer_every_query() {
-    let dir = temp_dir("empty", 0xE);
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ScratchDir::new("tiered-empty");
     let engine: TieredForest<u64> = TieredForest::builder()
         .shards(2)
         .path(&dir)
@@ -418,6 +405,4 @@ fn empty_and_fully_drained_engines_answer_every_query() {
     drop(engine);
     let back: TieredForest<u64> = TieredForest::open(&dir).expect("reopen empty");
     assert_matches_oracle(&back, &BTreeSet::new(), "reopened empty");
-    drop(back);
-    std::fs::remove_dir_all(&dir).ok();
 }
